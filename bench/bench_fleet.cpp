@@ -1,15 +1,11 @@
 // Fleet-controller throughput: how does aggregate update throughput scale
-// with the device count and the drain concurrency, and what does the
-// fleet-wide shared verdict cache buy over per-device caches?
+// with the device count and the drain concurrency?
 //
 // The workload models the regime real multi-device control planes live in:
 // every recompile ends in an install RPC to the switch driver that blocks
 // its caller for a few milliseconds (FaultPlan slow=...), so a serial
 // controller spends most of its wall clock waiting on one device at a time.
-// The fleet controller overlaps the installs across devices, and — because
-// every device runs the same program and receives the same broadcast
-// stream — the shared verdict cache lets the first device to specialize a
-// component pay its solver probes once fleet-wide.
+// The fleet controller overlaps the installs across devices.
 
 #include <algorithm>
 #include <cstdio>
@@ -41,21 +37,15 @@ constexpr const char* kSlowPlan = "slow=4000";
 struct RunResult {
   double seconds = 0;
   double throughput = 0;  // aggregate applied updates per second (drain)
-  double hitRate = 0;     // cache.hits / (hits + misses) over the drain
   uint64_t applied = 0;
 };
 
 RunResult runFleet(const p4::CheckedProgram& checked,
                    const std::vector<runtime::Update>& script, size_t devices,
-                   size_t jobs, bool sharedCache) {
-  // The reset precedes construction so the hit rate covers the cold phase
-  // too: with the shared cache, the bring-up misses of the first device are
-  // everyone else's hits; with per-device caches each device re-pays them.
-  obs::Registry::global().reset();
+                   size_t jobs) {
   fleet::FleetOptions fopts;
   fopts.devices = devices;
   fopts.jobs = jobs;
-  fopts.sharedVerdictCache = sharedCache;
   fopts.faultPlan = ctrl::FaultPlan::parse(kSlowPlan);
   fopts.deviceCompiler.searchIterations = 64;
   fleet::FleetController fc(checked, fopts);
@@ -72,19 +62,15 @@ RunResult runFleet(const p4::CheckedProgram& checked,
     r.applied += fc.status(i).applied;
   }
   r.throughput = r.seconds > 0 ? r.applied / r.seconds : 0;
-  uint64_t hits = obs::Registry::global().counter("cache.hits").value();
-  uint64_t misses = obs::Registry::global().counter("cache.misses").value();
-  r.hitRate =
-      hits + misses > 0 ? static_cast<double>(hits) / (hits + misses) : 0;
   return r;
 }
 
 RunResult medianRun(const p4::CheckedProgram& checked,
                     const std::vector<runtime::Update>& script, size_t devices,
-                    size_t jobs, bool sharedCache) {
+                    size_t jobs) {
   std::vector<RunResult> runs;
   for (int i = 0; i < kReps; ++i) {
-    runs.push_back(runFleet(checked, script, devices, jobs, sharedCache));
+    runs.push_back(runFleet(checked, script, devices, jobs));
   }
   std::sort(runs.begin(), runs.end(),
             [](const RunResult& a, const RunResult& b) {
@@ -107,10 +93,10 @@ int main() {
 
   // --- Aggregate throughput vs device count at jobs=8. --------------------
   std::vector<std::pair<std::string, double>> metrics;
-  std::printf("device scaling (jobs=8, shared cache):\n");
+  std::printf("device scaling (jobs=8):\n");
   double base = 0, top = 0;
   for (size_t devices : {1, 2, 4, 8}) {
-    RunResult r = medianRun(checked, script, devices, 8, true);
+    RunResult r = medianRun(checked, script, devices, 8);
     if (devices == 1) base = r.throughput;
     if (devices == 8) top = r.throughput;
     std::printf("  devices=%zu: %8.1f updates/s (%.2f s, %llu applied)\n",
@@ -124,10 +110,10 @@ int main() {
   metrics.emplace_back("scaling_1_to_8_devices", scaling);
 
   // --- Throughput vs drain concurrency at 8 devices. ----------------------
-  std::printf("drain concurrency (8 devices, shared cache):\n");
+  std::printf("drain concurrency (8 devices):\n");
   double serial8 = 0, parallel8 = 0;
   for (size_t jobs : {1, 2, 4, 8}) {
-    RunResult r = medianRun(checked, script, 8, jobs, true);
+    RunResult r = medianRun(checked, script, 8, jobs);
     if (jobs == 1) serial8 = r.throughput;
     if (jobs == 8) parallel8 = r.throughput;
     std::printf("  jobs=%zu:    %8.1f updates/s (%.2f s)\n", jobs,
@@ -139,19 +125,6 @@ int main() {
               serial8 > 0 ? parallel8 / serial8 : 0);
   metrics.emplace_back("jobs_speedup_d8",
                        serial8 > 0 ? parallel8 / serial8 : 0);
-
-  // --- Shared vs per-device verdict caches at 8 devices. ------------------
-  RunResult shared = medianRun(checked, script, 8, 8, true);
-  RunResult privat = medianRun(checked, script, 8, 8, false);
-  std::printf("verdict cache (8 devices, jobs=8):\n");
-  std::printf("  shared:     %5.1f %% hit rate, %8.1f updates/s\n",
-              shared.hitRate * 100.0, shared.throughput);
-  std::printf("  per-device: %5.1f %% hit rate, %8.1f updates/s\n",
-              privat.hitRate * 100.0, privat.throughput);
-  metrics.emplace_back("hit_rate_shared", shared.hitRate);
-  metrics.emplace_back("hit_rate_per_device", privat.hitRate);
-  metrics.emplace_back("throughput_shared", shared.throughput);
-  metrics.emplace_back("throughput_per_device", privat.throughput);
 
   obs::writeBenchReport("fleet", metrics);
   return 0;

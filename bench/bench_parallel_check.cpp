@@ -1,13 +1,14 @@
 // Parallel semantics-check engine on the SCION burst workload: how much do
 // (a) running the specializer's constantness probes across worker threads
-// and (b) the canonical-digest verdict cache buy on a full specialize pass?
-// Reports the serial-vs-parallel speedup, the cold-vs-warm-cache speedup,
-// and the warm-pass cache hit rate, including after an update burst has
-// invalidated the respecialized components' entries.
+// and (b) the engine's verdict memo buy on a full specialize pass?
+// Reports the serial-vs-parallel speedup on cold passes, the cold-vs-warm
+// speedup, and the warm-pass memo hit rate, including after an update burst
+// has respecialized components.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -38,15 +39,19 @@ int main() {
 
   p4::CheckedProgram checked =
       p4::loadProgramFromFile(net::programPath("scion"));
-  core::FlayService service(checked);
-  for (const auto& u : net::scionCommonConfig()) service.applyUpdate(u);
-  for (const auto& u : net::scionV4Config(4)) service.applyUpdate(u);
-  for (const auto& u : net::scionV6Config(16)) service.applyUpdate(u);
+  // A service loaded with the workload config whose verdict memo has never
+  // been asked anything: every pass on it is cold.
+  auto freshService = [&checked] {
+    auto service = std::make_unique<core::FlayService>(checked);
+    for (const auto& u : net::scionCommonConfig()) service->applyUpdate(u);
+    for (const auto& u : net::scionV4Config(4)) service->applyUpdate(u);
+    for (const auto& u : net::scionV6Config(16)) service->applyUpdate(u);
+    return service;
+  };
 
-  auto timedSpecialize = [&](size_t j, bool cache) {
+  auto timedSpecialize = [](core::FlayService& service, size_t j) {
     core::SpecializerOptions sopts;
     sopts.jobs = j;
-    sopts.useVerdictCache = cache;
     auto t0 = std::chrono::steady_clock::now();
     core::SpecializationResult r = core::Specializer(service, sopts).specialize();
     double ms = std::chrono::duration_cast<std::chrono::microseconds>(
@@ -59,38 +64,41 @@ int main() {
   std::printf("parallel semantics-check engine, SCION workload (%zu jobs)\n\n",
               jobs);
 
-  // --- Serial vs parallel, cache off: pure probe-concurrency speedup. -----
+  // --- Serial vs parallel on cold passes: pure probe-concurrency speedup.
   std::vector<double> serial, parallel;
   size_t queries = 0;
   for (int i = 0; i < kReps; ++i) {
-    auto [ms, r] = timedSpecialize(1, false);
+    auto service = freshService();
+    auto [ms, r] = timedSpecialize(*service, 1);
     serial.push_back(ms);
     queries = r.stats.solverQueries;
   }
   for (int i = 0; i < kReps; ++i) {
-    parallel.push_back(timedSpecialize(jobs, false).first);
+    auto service = freshService();
+    parallel.push_back(timedSpecialize(*service, jobs).first);
   }
   double serialMs = medianMs(serial);
   double parallelMs = medianMs(parallel);
   double speedup = parallelMs > 0 ? serialMs / parallelMs : 0;
-  std::printf("full specialize, %zu solver queries per pass:\n", queries);
-  std::printf("  jobs=1,  cache off:  %8.2f ms (median of %d)\n", serialMs,
-              kReps);
-  std::printf("  jobs=%zu, cache off:  %8.2f ms  -> %.2fx speedup\n", jobs,
-              parallelMs, speedup);
+  std::printf("cold full specialize, %zu solver queries per pass:\n", queries);
+  std::printf("  jobs=1:  %8.2f ms (median of %d)\n", serialMs, kReps);
+  std::printf("  jobs=%zu: %8.2f ms  -> %.2fx speedup\n", jobs, parallelMs,
+              speedup);
 
-  // --- Cold vs warm cache, serial: pure cache speedup + hit rate. ---------
-  service.checkEngine().clearCache();
+  // --- Cold vs warm memo, serial: pure memo speedup + hit rate. ----------
+  auto service = freshService();
   obs::Registry::global().reset();
-  double coldMs = timedSpecialize(1, true).first;
+  double coldMs = timedSpecialize(*service, 1).first;
   std::vector<double> warm;
-  for (int i = 0; i < kReps; ++i) warm.push_back(timedSpecialize(1, true).first);
+  for (int i = 0; i < kReps; ++i) {
+    warm.push_back(timedSpecialize(*service, 1).first);
+  }
   double warmMs = medianMs(warm);
   uint64_t hits = obs::Registry::global().counter("cache.hits").value();
   uint64_t misses = obs::Registry::global().counter("cache.misses").value();
   double hitRate =
       hits + misses > 0 ? static_cast<double>(hits) / (hits + misses) : 0;
-  std::printf("\nverdict cache (jobs=1):\n");
+  std::printf("\nverdict memo (jobs=1):\n");
   std::printf("  cold pass:           %8.2f ms\n", coldMs);
   std::printf("  warm pass:           %8.2f ms  -> %.2fx speedup\n", warmMs,
               warmMs > 0 ? coldMs / warmMs : 0);
@@ -98,27 +106,27 @@ int main() {
               hitRate * 100.0, static_cast<unsigned long long>(hits),
               static_cast<unsigned long long>(hits + misses));
 
-  // --- Update burst: invalidation drops only respecialized components. ----
+  // --- Update burst: only respecialized expressions miss. ----------------
   auto burst = net::scionV4RouteBurst(200);
-  service.applyBatch(burst);
+  service->applyBatch(burst);
   obs::Registry::global().reset();
-  double postUpdateMs = timedSpecialize(1, true).first;
+  double postUpdateMs = timedSpecialize(*service, 1).first;
   hits = obs::Registry::global().counter("cache.hits").value();
   misses = obs::Registry::global().counter("cache.misses").value();
   double postUpdateHitRate =
       hits + misses > 0 ? static_cast<double>(hits) / (hits + misses) : 0;
   std::printf("\nafter a %zu-route update burst:\n", burst.size());
   std::printf("  specialize:          %8.2f ms\n", postUpdateMs);
-  std::printf("  hit rate:            %8.1f %% (unchanged components stay warm)\n",
+  std::printf("  hit rate:            %8.1f %% (unchanged points stay warm)\n",
               postUpdateHitRate * 100.0);
 
-  // --- Combined: parallel + warm cache, the production configuration. -----
+  // --- Combined: parallel + warm memo, the production configuration. -----
   std::vector<double> combined;
   for (int i = 0; i < kReps; ++i) {
-    combined.push_back(timedSpecialize(jobs, true).first);
+    combined.push_back(timedSpecialize(*service, jobs).first);
   }
   double combinedMs = medianMs(combined);
-  std::printf("\n  jobs=%zu, warm cache: %8.2f ms  -> %.2fx vs serial cold\n",
+  std::printf("\n  jobs=%zu, warm memo: %8.2f ms  -> %.2fx vs serial cold\n",
               jobs, combinedMs, combinedMs > 0 ? serialMs / combinedMs : 0);
 
   flay::obs::writeBenchReport(

@@ -7,7 +7,6 @@
 #include <stdexcept>
 #include <thread>
 
-#include "expr/canonical.h"
 #include "expr/printer.h"
 #include "obs/obs.h"
 
@@ -53,13 +52,6 @@ std::string checkpointFileName(uint64_t seq) {
   while (digits.size() < 8) digits = "0" + digits;
   return "checkpoint-" + digits + ".ckpt";
 }
-
-// stateDigest() renders specialized expressions with the shared
-// expr::CanonicalRenderer (expr/canonical.h): equal formulas must hash
-// equally on both sides of a crash boundary, and the verdict cache of the
-// semantics-check engine keys on the same canonical form.
-using expr::CanonicalRenderer;
-using expr::Fnv;
 
 }  // namespace
 

@@ -17,8 +17,9 @@ namespace flay::expr {
 /// semantically identical but structurally permuted and/or chains. The
 /// canonical form flattens those chains and sorts operands by their own
 /// rendering, so equal formulas render equally regardless of construction
-/// history. Two consumers key on this: the controller's crash-boundary
-/// stateDigest and the verdict cache of the parallel semantics-check engine.
+/// history. One consumer keys on this: the state digest
+/// (FlayService::stateDigest) that crash recovery, the bulk-load parity
+/// check and the controller compare across construction histories.
 class CanonicalRenderer {
  public:
   explicit CanonicalRenderer(const ExprArena& arena) : arena_(arena) {}

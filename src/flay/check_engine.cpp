@@ -1,10 +1,8 @@
 #include "flay/check_engine.h"
 
 #include <algorithm>
-#include <span>
 #include <functional>
 #include <unordered_set>
-#include <utility>
 
 #include "expr/analysis.h"
 #include "obs/obs.h"
@@ -20,6 +18,8 @@ struct EngineObs {
   obs::Counter& prefetchBatches = reg.counter("parallel.prefetch_batches");
   obs::Counter& prefetchQueries = reg.counter("parallel.prefetch_queries");
   obs::Counter& syncProbes = reg.counter("parallel.sync_probes");
+  obs::Counter& memoHits = reg.counter("cache.hits");
+  obs::Counter& memoMisses = reg.counter("cache.misses");
   obs::Histogram& prefetchUs = reg.histogram("parallel.prefetch_us");
 
   static EngineObs& get() {
@@ -28,68 +28,18 @@ struct EngineObs {
   }
 };
 
-CachedVerdict toCached(const smt::ConstantProbe& probe, bool isBool) {
-  CachedVerdict v;
-  if (!probe.constant) {
-    v.kind = CachedVerdict::Kind::kNotConstant;
-  } else if (isBool) {
-    v.kind = CachedVerdict::Kind::kBoolConst;
-    v.boolValue = probe.boolValue;
-  } else {
-    v.kind = CachedVerdict::Kind::kBvConst;
-    v.value = probe.value;
-  }
-  return v;
-}
-
-smt::ConstantProbe toProbe(const CachedVerdict& v) {
-  smt::ConstantProbe probe;
-  switch (v.kind) {
-    case CachedVerdict::Kind::kBoolConst:
-      probe.constant = true;
-      probe.boolValue = v.boolValue;
-      break;
-    case CachedVerdict::Kind::kBvConst:
-      probe.constant = true;
-      probe.value = v.value;
-      break;
-    case CachedVerdict::Kind::kNotConstant:
-      probe.notConstant = true;
-      break;
-  }
-  return probe;
-}
-
 }  // namespace
 
-CheckEngine::CheckEngine(const expr::ExprArena& arena,
-                         std::shared_ptr<VerdictCache> sharedCache,
-                         std::string scopePrefix)
-    : arena_(arena),
-      renderer_(arena),
-      cache_(sharedCache != nullptr ? std::move(sharedCache)
-                                    : std::make_shared<VerdictCache>()),
-      scopePrefix_(std::move(scopePrefix)),
-      retirements_(std::make_shared<ScopeRetirementQueue>()) {
-  // On a shared cache this also delivers invalidations performed by sibling
-  // engines; their scope tags carry a different prefix, so the retirements
-  // simply miss this engine's scope-group map.
-  cache_->attachArtifact(retirements_);
-}
-
-std::string CheckEngine::scoped(const std::string& scope) const {
-  return scopePrefix_.empty() ? scope : scopePrefix_ + scope;
-}
+CheckEngine::CheckEngine(const expr::ExprArena& arena) : arena_(arena) {}
 
 CheckEngine::~CheckEngine() = default;
 
 void CheckEngine::configure(const CheckEngineOptions& options) {
-  if (pool_ != nullptr && options.jobs != options_.jobs) pool_.reset();
-  if (options.jobs != options_.jobs ||
-      options.incrementalSat != options_.incrementalSat) {
-    // Slot count changed (or the mode toggled): drop the warm sessions and
-    // let ensureSessions() re-warm at the next probe. Verdicts are facts, so
-    // a rebuild can never change an answer.
+  if (options.jobs != options_.jobs) {
+    // Slot count changed: drop the pool and the warm sessions and let the
+    // next probe re-warm. Verdicts are facts, so a rebuild can never change
+    // an answer.
+    pool_.reset();
     sessions_.clear();
   }
   options_ = options;
@@ -107,19 +57,6 @@ void CheckEngine::ensureSessions() {
   }
 }
 
-void CheckEngine::drainRetirements() {
-  bool clearAll = false;
-  std::vector<std::string> scopes = retirements_->drain(&clearAll);
-  if (sessions_.empty()) return;
-  if (clearAll) {
-    for (auto& s : sessions_) s->rebuild();
-    return;
-  }
-  for (const std::string& scope : scopes) {
-    for (auto& s : sessions_) s->retireScope(scope);
-  }
-}
-
 void CheckEngine::setIncrementalWatermark(uint32_t nodeId) {
   if (nodeId <= watermark_) return;
   watermark_ = nodeId;
@@ -131,9 +68,19 @@ bool CheckEngine::withinDagLimit(ExprRef e) const {
          expr::dagSize(arena_, e) <= options_.solverDagLimit;
 }
 
+const smt::ConstantProbe* CheckEngine::lookup(uint32_t id) {
+  EngineObs& o = EngineObs::get();
+  auto it = memo_.find(id);
+  if (it == memo_.end()) {
+    o.memoMisses.add(1);
+    return nullptr;
+  }
+  o.memoHits.add(1);
+  return &it->second;
+}
+
 void CheckEngine::prefetch(const std::vector<CheckQuery>& queries) {
   prefetched_.clear();
-  if (options_.incrementalSat) drainRetirements();
   if (queries.empty()) return;
   EngineObs& o = EngineObs::get();
   o.prefetchBatches.add(1);
@@ -142,93 +89,57 @@ void CheckEngine::prefetch(const std::vector<CheckQuery>& queries) {
   // Keep only the checks the verdict path would actually send to the solver:
   // folded constants and over-limit DAGs settle (or stay unknown) without a
   // probe, and hash-consing makes duplicates exact id matches.
-  struct Pending {
-    uint32_t id;
-    ExprRef expr;
-    std::string scope;             // scope-prefixed cache tag
-    const std::string* rendering;  // null when the cache is off
-  };
-  std::vector<Pending> pending;
+  std::vector<const CheckQuery*> pending;
   std::unordered_set<uint32_t> seen;
   for (const CheckQuery& q : queries) {
     if (!q.expr.valid() || arena_.isConst(q.expr)) continue;
     if (!withinDagLimit(q.expr)) continue;
     if (!seen.insert(q.expr.id).second) continue;
-    const std::string* rendering = nullptr;
-    if (options_.useVerdictCache) {
-      rendering = &renderer_.render(q.expr);
-      if (auto hit = cache_->lookup(*rendering)) {
-        prefetched_[q.expr.id] = {toProbe(*hit), /*fromCache=*/true};
-        continue;
-      }
+    if (const smt::ConstantProbe* hit = lookup(q.expr.id)) {
+      prefetched_[q.expr.id] = {*hit, /*fromMemo=*/true};
+      continue;
     }
-    pending.push_back({q.expr.id, q.expr, scoped(q.scope), rendering});
+    pending.push_back(&q);
   }
   o.prefetchQueries.add(pending.size());
   if (pending.empty()) return;
 
-  // Probe concurrently. Workers write disjoint slots; the arena is only
-  // read (probes never intern), so no synchronization is needed beyond the
-  // pool's completion barrier.
+  // Probe concurrently: one task per session slot over a contiguous slice,
+  // so each (not thread-safe) session is touched by exactly one thread.
+  // Workers write disjoint result slots and only read the arena (probes
+  // never intern), so the pool's completion barrier is the only
+  // synchronization needed. Slicing does not affect verdicts — they are
+  // facts, and warm-solve timeouts fall back to the same fresh probe.
+  ensureSessions();
   std::vector<smt::ConstantProbe> probes(pending.size());
-  if (options_.incrementalSat) {
-    // Warm-session mode: one task per session slot over a contiguous slice,
-    // so each (not thread-safe) session is touched by exactly one thread.
-    // Slicing does not affect verdicts — they are facts, and warm-solve
-    // timeouts fall back to the same fresh probe either mode would run.
-    ensureSessions();
-    const size_t slots = sessions_.size();
-    if (slots == 1 || pending.size() == 1) {
-      for (size_t i = 0; i < pending.size(); ++i) {
-        probes[i] = sessions_[0]->probe(pending[i].expr, pending[i].scope,
-                                        options_.solverConflictBudget);
-      }
-    } else {
-      if (pool_ == nullptr) {
-        pool_ = std::make_unique<support::ThreadPool>(options_.jobs - 1);
-      }
-      const size_t chunk = (pending.size() + slots - 1) / slots;
-      std::vector<std::function<void()>> tasks;
-      for (size_t k = 0; k * chunk < pending.size(); ++k) {
-        tasks.push_back([this, &pending, &probes, k, chunk] {
-          const size_t end = std::min(pending.size(), (k + 1) * chunk);
-          for (size_t i = k * chunk; i < end; ++i) {
-            probes[i] = sessions_[k]->probe(pending[i].expr, pending[i].scope,
-                                            options_.solverConflictBudget);
-          }
-        });
-      }
-      pool_->run(std::move(tasks));
+  auto probeSlice = [this, &pending, &probes](size_t slot, size_t begin,
+                                              size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      probes[i] = sessions_[slot]->probe(pending[i]->expr, pending[i]->scope,
+                                         options_.solverConflictBudget);
     }
-  } else if (options_.jobs <= 1 || pending.size() == 1) {
-    for (size_t i = 0; i < pending.size(); ++i) {
-      probes[i] =
-          smt::probeConstant(arena_, pending[i].expr,
-                             options_.solverConflictBudget);
-    }
+  };
+  const size_t slots = sessions_.size();
+  if (slots == 1 || pending.size() == 1) {
+    probeSlice(0, 0, pending.size());
   } else {
     if (pool_ == nullptr) {
       pool_ = std::make_unique<support::ThreadPool>(options_.jobs - 1);
     }
+    const size_t chunk = (pending.size() + slots - 1) / slots;
     std::vector<std::function<void()>> tasks;
-    tasks.reserve(pending.size());
-    for (size_t i = 0; i < pending.size(); ++i) {
-      tasks.push_back([this, &pending, &probes, i] {
-        probes[i] =
-            smt::probeConstant(arena_, pending[i].expr,
-                               options_.solverConflictBudget);
+    for (size_t k = 0; k * chunk < pending.size(); ++k) {
+      tasks.push_back([&probeSlice, &pending, k, chunk] {
+        probeSlice(k, k * chunk, std::min(pending.size(), (k + 1) * chunk));
       });
     }
     pool_->run(std::move(tasks));
   }
 
   for (size_t i = 0; i < pending.size(); ++i) {
-    const Pending& p = pending[i];
-    prefetched_[p.id] = {probes[i], /*fromCache=*/false};
-    if (options_.useVerdictCache && !probes[i].timedOut) {
-      cache_->insert(*p.rendering, toCached(probes[i], arena_.isBool(p.expr)),
-                     std::span<const std::string>(&p.scope, 1));
-    }
+    const uint32_t id = pending[i]->expr.id;
+    if (!probes[i].timedOut) memo_.emplace(id, probes[i]);
+    prefetched_[id] = {std::move(probes[i]), /*fromMemo=*/false};
   }
 }
 
@@ -239,36 +150,22 @@ smt::ConstantProbe CheckEngine::settle(ExprRef e, const std::string& scope,
   if (staged != prefetched_.end()) {
     if (outcome != nullptr) {
       outcome->timedOut = staged->second.probe.timedOut;
-      outcome->cacheHit = staged->second.fromCache;
+      outcome->cacheHit = staged->second.fromMemo;
     }
     return staged->second.probe;
   }
-  const std::string* rendering = nullptr;
-  if (options_.useVerdictCache) {
-    rendering = &renderer_.render(e);
-    if (auto hit = cache_->lookup(*rendering)) {
-      if (outcome != nullptr) outcome->cacheHit = true;
-      return toProbe(*hit);
-    }
+  if (const smt::ConstantProbe* hit = lookup(e.id)) {
+    if (outcome != nullptr) outcome->cacheHit = true;
+    return *hit;
   }
+  // Lazy checks run on the coordinating thread; slot 0's session is the
+  // designated warm solver for them.
   EngineObs::get().syncProbes.add(1);
-  smt::ConstantProbe probe;
-  if (options_.incrementalSat) {
-    // Lazy checks run on the coordinating thread; slot 0's session is the
-    // designated warm solver for them.
-    drainRetirements();
-    ensureSessions();
-    probe = sessions_[0]->probe(e, scoped(scope),
-                                options_.solverConflictBudget);
-  } else {
-    probe = smt::probeConstant(arena_, e, options_.solverConflictBudget);
-  }
+  ensureSessions();
+  smt::ConstantProbe probe =
+      sessions_[0]->probe(e, scope, options_.solverConflictBudget);
   if (outcome != nullptr) outcome->timedOut = probe.timedOut;
-  if (options_.useVerdictCache && !probe.timedOut) {
-    std::string tag = scoped(scope);
-    cache_->insert(*rendering, toCached(probe, arena_.isBool(e)),
-                   std::span<const std::string>(&tag, 1));
-  }
+  if (!probe.timedOut) memo_.emplace(e.id, probe);
   return probe;
 }
 
@@ -297,9 +194,7 @@ std::optional<BitVec> CheckEngine::constVerdict(ExprRef specialized,
 }
 
 void CheckEngine::invalidateScope(const std::string& scope) {
-  cache_->invalidateScope(scoped(scope));
+  for (auto& s : sessions_) s->retireScope(scope);
 }
-
-void CheckEngine::clearCache() { cache_->clear(); }
 
 }  // namespace flay::flay

@@ -2,16 +2,12 @@
 #define FLAY_FLAY_CHECK_ENGINE_H
 
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "expr/arena.h"
-#include "expr/canonical.h"
-#include "flay/verdict_cache.h"
 #include "smt/incremental.h"
 #include "smt/solver.h"
 #include "support/thread_pool.h"
@@ -25,117 +21,74 @@ struct CheckEngineOptions {
   /// Worker threads for prefetch(): jobs-1 pool workers plus the calling
   /// thread probe concurrently. 1 = fully serial (no pool is created).
   size_t jobs = 1;
-  /// Serve repeated semantics checks from the canonical-digest cache.
-  bool useVerdictCache = true;
   /// Ask the solver only about expressions up to this DAG size (0 disables
   /// solver queries entirely, like SpecializerOptions::solverDagLimit).
   size_t solverDagLimit = 512;
   /// Fail-safe deadline per underlying SAT call, in conflicts (0 = none).
   uint64_t solverConflictBudget = 20000;
-  /// Keep one warm assumption-based SAT session per worker slot and encode
-  /// delta CNF into it across probes, instead of a fresh solver per probe.
-  /// Verdicts are identical either way (warm kUnknowns fall back to a fresh
-  /// probe); this only trades memory for speed on repeated/overlapping
-  /// formulas.
-  bool incrementalSat = true;
 };
 
 /// How a verdict was obtained, for the caller's stats.
 struct CheckOutcome {
-  /// The check went past constant folding: a solver query ran, or the cache
+  /// The check went past constant folding: a solver query ran, or the memo
   /// answered in its place. Mirrors what SpecializationStats::solverQueries
   /// counted before the engine existed.
   bool solverQueried = false;
-  /// The conflict budget expired with the question unsettled. Never cached.
+  /// The conflict budget expired with the question unsettled. Never
+  /// memoized.
   bool timedOut = false;
-  /// The verdict came from the cache (possibly via an earlier prefetch).
+  /// The verdict was settled before this check's batch (or lazy probe)
+  /// asked for it, and the memo answered.
   bool cacheHit = false;
 };
 
-/// One semantics check to warm up ahead of the rewrite pass. `scope` tags
-/// the cache entry for per-component invalidation (usually the program
-/// point's component).
+/// One semantics check to warm up ahead of the rewrite pass. `scope` names
+/// the warm clause group its encoding lands in, retired per component by
+/// invalidateScope() (usually the program point's component).
 struct CheckQuery {
   expr::ExprRef expr;
   std::string scope;
 };
 
-/// Collects scope invalidations signalled by the verdict cache — possibly
-/// from another thread, or another engine sharing the cache — until the
-/// owning engine's next synchronous drain point (prefetch/settle entry). The
-/// warm clause groups retire there; doing it inside the notification would
-/// race the worker threads that solve on those sessions.
-class ScopeRetirementQueue final : public ScopeArtifact {
- public:
-  void onScopeInvalidated(const std::string& scope) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    pending_.push_back(scope);
-  }
-  void onCacheCleared() override {
-    std::lock_guard<std::mutex> lock(mu_);
-    cleared_ = true;
-    pending_.clear();  // subsumed by the full teardown
-  }
-  /// Returns the queued scopes and resets the queue. `clearAll` reports
-  /// whether the whole cache was dropped since the last drain, which
-  /// subsumes individual scope retirements.
-  std::vector<std::string> drain(bool* clearAll) {
-    std::lock_guard<std::mutex> lock(mu_);
-    *clearAll = cleared_;
-    cleared_ = false;
-    return std::exchange(pending_, {});
-  }
-
- private:
-  std::mutex mu_;
-  std::vector<std::string> pending_;
-  bool cleared_ = false;
-};
-
 /// The semantics-check engine: answers the specializer's "is this
 /// specialized expression a constant?" questions through, in order, arena
-/// constant folding, a canonical-digest verdict cache, and budgeted
-/// constantness probes (smt::probeConstant). prefetch() runs the probes of
-/// a whole batch concurrently on a thread pool — safe because probes only
-/// read the (immutable once interned) arena and never intern nodes.
+/// constant folding, a verdict memo keyed by expression id, and warm
+/// constantness probes (smt::ProbeSession). prefetch() runs the probes of a
+/// whole batch concurrently on a thread pool — safe because probes only read
+/// the (immutable once interned) arena and never intern nodes.
 ///
-/// Determinism: a verdict is a pure function of the expression. In the
-/// default fresh-solver mode every probe uses a fresh solver with the same
-/// conflict budget, so even timeouts are deterministic. In incremental mode
-/// (CheckEngineOptions::incrementalSat) each worker slot keeps a warm
-/// smt::ProbeSession; warm solves that exhaust their budget fall back to the
-/// fresh probe, so verdicts stay identical across jobs settings, cache
-/// on/off, incremental on/off, and prefetch vs lazy evaluation. Timeouts
-/// are never cached in either mode.
+/// The memo: hash-consing makes an expression id the identity of its
+/// formula, and the control-plane config is already substituted into it, so
+/// a settled verdict is a permanent fact about the id and is never
+/// invalidated. Timed-out probes are never stored — an expired conflict
+/// budget says nothing about the expression — so a later check (or a raised
+/// budget) asks again. The memo is only read and written on the
+/// coordinating thread; pool workers see just their own slice of misses.
+///
+/// Determinism: a verdict is a pure function of the expression. Each worker
+/// slot keeps a warm smt::ProbeSession; warm solves that exhaust their
+/// budget fall back to a fresh smt::probeConstant with the same budget, so
+/// verdicts (timeouts included) are identical across jobs settings and
+/// prefetch vs lazy evaluation.
 class CheckEngine {
  public:
-  /// `sharedCache` lets multiple engines (one per FlayService, e.g. across a
-  /// device fleet) pool their verdicts: canonical renderings are
-  /// construction-history independent, so identical programs produce
-  /// identical cache keys whatever arena they were interned into, and a
-  /// verdict is a pure fact about its rendering — sharing can never serve a
-  /// wrong answer. Null = this engine owns a private cache. `scopePrefix` is
-  /// prepended to every scope tag recorded in the cache (e.g. "dev3/"), so
-  /// scope invalidation stays per-instance even on a shared cache.
-  explicit CheckEngine(const expr::ExprArena& arena,
-                       std::shared_ptr<VerdictCache> sharedCache = nullptr,
-                       std::string scopePrefix = "");
+  explicit CheckEngine(const expr::ExprArena& arena);
   ~CheckEngine();
 
   CheckEngine(const CheckEngine&) = delete;
   CheckEngine& operator=(const CheckEngine&) = delete;
 
-  /// Applies new options. Changing `jobs` tears down the pool (it is
-  /// re-created lazily at the next parallel prefetch). The cache is kept:
+  /// Applies new options. Changing `jobs` tears down the pool and the warm
+  /// sessions (both re-created lazily at the next probe). The memo is kept:
   /// verdicts are facts, so entries stay correct across reconfiguration.
   void configure(const CheckEngineOptions& options);
   const CheckEngineOptions& options() const { return options_; }
 
   /// Settles a batch of checks ahead of time: folded/oversized/duplicate
-  /// queries are filtered, cache hits are collected, and the remaining
-  /// probes run concurrently across `jobs` threads. Results are staged for
-  /// the following boolVerdict()/constVerdict() calls and inserted into the
-  /// verdict cache. A new prefetch() discards the previous staging.
+  /// queries are filtered, memo hits are collected, and the remaining
+  /// probes run concurrently across `jobs` warm sessions. Results are staged
+  /// for the following boolVerdict()/constVerdict() calls and settled ones
+  /// enter the memo. A new prefetch() discards the previous staging.
   void prefetch(const std::vector<CheckQuery>& queries);
 
   /// Verdict for a specialized boolean expression. kUnknown covers
@@ -151,56 +104,48 @@ class CheckEngine {
                                      const std::string& scope,
                                      CheckOutcome* outcome = nullptr);
 
-  /// Drops cached verdicts recorded under `scope` (memory hygiene when a
-  /// component respecializes). Also queues the scope's warm clause groups
-  /// for retirement — that part is a soundness requirement in incremental
-  /// mode: the scope's formulas are about to be replaced, and their retired
-  /// encodings must not satisfy later probes via stale memo hits.
+  /// Retires the warm clause groups of `scope` in every session — a
+  /// soundness requirement: the scope's formulas are about to be replaced,
+  /// and their retired encodings must not satisfy later probes via stale
+  /// encoding hits. Only the owning thread calls this, between prefetches,
+  /// so no worker is solving on the sessions meanwhile.
   void invalidateScope(const std::string& scope);
-  void clearCache();
 
   /// Raises the shared-structure watermark for the warm sessions: arena
   /// nodes interned before this point are version-lifetime program structure
   /// and encode into the permanent clause group; newer nodes encode into
   /// the probing scope's retirable group. Call at the start of an update
-  /// round with the arena's node count. No-op in fresh-solver mode.
+  /// round with the arena's node count.
   void setIncrementalWatermark(uint32_t nodeId);
-
-  VerdictCache& cache() { return *cache_; }
 
  private:
   struct Prefetched {
     smt::ConstantProbe probe;
-    bool fromCache = false;
+    bool fromMemo = false;
   };
 
   /// Core path for an expression that folding could not settle and that is
-  /// within the DAG limit: staged prefetch result, then cache, then a
-  /// synchronous probe.
+  /// within the DAG limit: staged prefetch result, then memo, then a
+  /// synchronous probe on slot 0's session.
   smt::ConstantProbe settle(expr::ExprRef e, const std::string& scope,
                             CheckOutcome* outcome);
+  /// Memo lookup, counted into cache.hits / cache.misses.
+  const smt::ConstantProbe* lookup(uint32_t id);
   bool withinDagLimit(expr::ExprRef e) const;
-  /// The cache scope tag for a component scope: scopePrefix_ + scope.
-  std::string scoped(const std::string& scope) const;
-  /// Applies queued scope retirements to the warm sessions. Must only run
-  /// from the coordinating thread while no worker is solving.
-  void drainRetirements();
   /// Lazily builds one warm ProbeSession per worker slot.
   void ensureSessions();
 
   const expr::ExprArena& arena_;
-  expr::CanonicalRenderer renderer_;
-  std::shared_ptr<VerdictCache> cache_;
-  std::string scopePrefix_;
   CheckEngineOptions options_;
   std::unique_ptr<support::ThreadPool> pool_;
+  /// Expr id -> settled verdict (never a timeout).
+  std::unordered_map<uint32_t, smt::ConstantProbe> memo_;
   /// Expr id -> staged result from the last prefetch().
   std::unordered_map<uint32_t, Prefetched> prefetched_;
   /// Warm incremental sessions, one per worker slot (jobs slots; a single
   /// slot when serial). Slot k is only ever touched by prefetch task k or,
   /// for slot 0, the coordinating thread — sessions are not thread-safe.
   std::vector<std::unique_ptr<smt::ProbeSession>> sessions_;
-  std::shared_ptr<ScopeRetirementQueue> retirements_;
   uint32_t watermark_ = 0;
 };
 

@@ -59,8 +59,7 @@ FlayService::FlayService(const p4::CheckedProgram& checked, FlayOptions options)
   config_ = std::make_unique<runtime::DeviceConfig>(checked_);
   encoder_ = std::make_unique<ControlPlaneEncoder>(*arena_, analysis_,
                                                    options_.encoder);
-  checkEngine_ = std::make_unique<CheckEngine>(
-      *arena_, options_.sharedVerdictCache, options_.verdictScopePrefix);
+  checkEngine_ = std::make_unique<CheckEngine>(*arena_);
   buildObjectDependencies();
   auto start = std::chrono::steady_clock::now();
   respecializeAll();
@@ -237,6 +236,11 @@ std::string FlayService::pointDigest(expr::ExprRef specialized) const {
 std::string FlayService::tableDigest(const std::string& qualified) const {
   const runtime::TableState& table = config_->table(qualified);
   std::string d = table.empty() ? "empty;" : "live;";
+  // The default action by name, not just as a member of the action set: a
+  // table whose hit specializes to false has its default's body inlined,
+  // so a set-default to an action some entry already uses still changes
+  // the specialized program.
+  d += table.defaultActionName() + ";";
   // Above the over-approximation threshold, skip the O(n^2) eclipse
   // normalization and digest the raw entries instead (a sound
   // over-approximation of reachability, consistent with the encoder).
@@ -370,10 +374,10 @@ UpdateVerdict FlayService::analyzeObjects(const std::set<std::string>& objects) 
   eobs.substituteUs.record(substituteUs > pointDigestUs
                                ? substituteUs - pointDigestUs
                                : 0);
-  // Memory hygiene for the verdict cache: points of these components now
-  // carry different specialized expressions, so the verdicts recorded under
-  // them describe formulas no live point references anymore. (Correctness
-  // never depends on this — a verdict is a pure fact about its rendering.)
+  // Points of these components now carry different specialized
+  // expressions: retire the warm clause groups that encoded the old ones
+  // before anything probes the new ones. (The verdict memo stays — a
+  // verdict is a permanent fact about its expression id.)
   {
     std::set<std::string> respecialized;
     for (uint32_t id : verdict.changedPoints) {

@@ -21,18 +21,6 @@ struct FlayOptions {
   /// point instead of only the tainted ones. Quantifies the incrementality
   /// claim of §2 (see bench_ablation_taint).
   bool useTaintMap = true;
-  /// When set, this service's check engine records and serves semantics-check
-  /// verdicts from this cache instead of a private one. Safe to share across
-  /// services — even ones analyzing different programs — because a verdict is
-  /// a pure fact about the canonical rendering it is keyed on; the payoff is
-  /// a fleet of devices running identical programs, where one device's solver
-  /// probes warm every other device's checks. Null = private cache.
-  std::shared_ptr<VerdictCache> sharedVerdictCache;
-  /// Prefix for the scope tags this service records in the verdict cache
-  /// (e.g. "dev3/"), keeping scope invalidation per-instance when the cache
-  /// is shared: entries recorded by other instances are never touched by
-  /// this service's invalidations.
-  std::string verdictScopePrefix;
 };
 
 /// Verdict for one control-plane update (or batch), mirroring Fig. 2: the
@@ -209,10 +197,10 @@ class FlayService {
   const p4::CheckedProgram& checkedProgram() const { return checked_; }
 
   /// The semantics-check engine the specializer asks for verdicts. Owned
-  /// here so its verdict cache and canonical-rendering memo live across
-  /// specializer runs (that persistence is where cache hits come from);
-  /// analyzeObjects() invalidates the scopes of components whose
-  /// specialized expressions changed.
+  /// here so its verdict memo and warm sessions live across specializer runs
+  /// (that persistence is where memo hits come from); analyzeObjects()
+  /// retires the warm clause groups of components whose specialized
+  /// expressions changed.
   CheckEngine& checkEngine() { return *checkEngine_; }
 
   /// Current specialized expression of a program point.
@@ -264,8 +252,9 @@ class FlayService {
   /// The specialization decision a point's expression currently supports:
   /// "" for unknown/non-constant, else a rendering of the constant.
   std::string pointDigest(expr::ExprRef specialized) const;
-  /// Structural digest of a table's runtime state: reachable actions,
-  /// per-key exactness, emptiness — the properties the specializer keys on.
+  /// Structural digest of a table's runtime state: default action, reachable
+  /// actions, per-key exactness, emptiness — the properties the specializer
+  /// keys on.
   std::string tableDigest(const std::string& qualified) const;
 
   const p4::CheckedProgram& checked_;

@@ -73,10 +73,8 @@ class Specializer::Impl {
       : service_(service), options_(options), engine_(service.checkEngine()) {
     CheckEngineOptions eopts;
     eopts.jobs = options_.jobs;
-    eopts.useVerdictCache = options_.useVerdictCache;
     eopts.solverDagLimit = options_.solverDagLimit;
     eopts.solverConflictBudget = options_.solverConflictBudget;
-    eopts.incrementalSat = options_.incrementalSat;
     engine_.configure(eopts);
   }
 
@@ -159,7 +157,7 @@ class Specializer::Impl {
 
   /// Folds a check's outcome into the run's stats, preserving what the
   /// pre-engine specializer counted: solverQueries for every check that went
-  /// past folding (even when the cache answered), solverTimeouts for expired
+  /// past folding (even when the memo answered), solverTimeouts for expired
   /// conflict budgets (the degradation-aware path the controller tracks).
   void noteOutcome(const CheckOutcome& outcome) {
     if (outcome.solverQueried) ++stats_.solverQueries;

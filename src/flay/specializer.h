@@ -48,18 +48,9 @@ struct SpecializerOptions {
   uint64_t solverConflictBudget = 20000;
   /// Threads for the semantics-check prefetch: the independent constantness
   /// probes of one specialization run execute concurrently across this many
-  /// threads (1 = serial). Verdicts are deterministic regardless (each probe
-  /// uses a fresh solver with a fixed conflict budget).
+  /// threads (1 = serial). Verdicts are deterministic regardless (see
+  /// CheckEngine).
   size_t jobs = 1;
-  /// Serve repeated semantics checks from the service's canonical-digest
-  /// verdict cache. Off = every check re-probes (for A/B testing; verdicts
-  /// are identical either way).
-  bool useVerdictCache = true;
-  /// Keep warm assumption-based SAT sessions across probes (delta CNF plus
-  /// learned-clause retention) instead of a fresh solver per probe. Off =
-  /// every probe pays the full encode+solve (for A/B testing; verdicts are
-  /// identical either way).
-  bool incrementalSat = true;
 };
 
 struct SpecializationResult {

@@ -103,9 +103,6 @@ FleetController::FleetController(const p4::CheckedProgram& checked,
                                  FleetOptions options)
     : options_(std::move(options)) {
   if (options_.devices == 0) options_.devices = 1;
-  if (options_.sharedVerdictCache) {
-    cache_ = std::make_shared<flay::VerdictCache>();
-  }
   if (options_.jobs > 1) {
     pool_ = std::make_unique<support::ThreadPool>(options_.jobs - 1);
   }
@@ -130,9 +127,7 @@ FleetController::FleetController(const p4::CheckedProgram& checked,
   }
 
   // Bring the devices up concurrently: each member's journal recovery and
-  // initial specialize+compile+install are independent of every other's,
-  // and with the shared cache the first device to finish specializing warms
-  // the verdicts the rest are about to ask for.
+  // initial specialize+compile+install are independent of every other's.
   std::vector<std::function<void()>> tasks;
   tasks.reserve(members_.size());
   for (size_t i = 0; i < members_.size(); ++i) {
@@ -145,10 +140,6 @@ FleetController::FleetController(const p4::CheckedProgram& checked,
           copts.stateDir = options_.stateDirRoot + "/" + m.name;
         }
         copts.seed = options_.controller.seed + i;
-        if (cache_ != nullptr) {
-          copts.flay.sharedVerdictCache = cache_;
-          copts.flay.verdictScopePrefix = m.name + "/";
-        }
         if (options_.attachDevices) {
           controller::FaultPlan plan = options_.faultPlan;
           plan.seed = options_.faultPlan.seed + i;

@@ -11,7 +11,6 @@
 #include "controller/controller.h"
 #include "controller/device.h"
 #include "controller/fault_plan.h"
-#include "flay/verdict_cache.h"
 #include "support/thread_pool.h"
 
 namespace flay::fleet {
@@ -72,11 +71,6 @@ struct FleetOptions {
   /// restart over the same root replays every device's journal — each
   /// device recovers to its last committed state independently.
   std::string stateDirRoot;
-  /// Share one thread-safe verdict cache across every device's check engine.
-  /// Identical programs render identical canonical formulas, so the first
-  /// device to specialize pays the solver probes and the rest hit. Scope
-  /// tags are prefixed with "<device>/" so invalidation stays per-instance.
-  bool sharedVerdictCache = true;
   /// Fault-plan template: device i runs it with seed = faultPlan.seed + i,
   /// so faults land at different points per device (deterministically).
   controller::FaultPlan faultPlan;
@@ -92,8 +86,7 @@ struct FleetOptions {
   size_t wireBatchSize = 32;
   size_t wireWindowBatches = 8;
   /// Base per-device controller options. stateDir and seed are overwritten
-  /// per device; flay.sharedVerdictCache/verdictScopePrefix are overwritten
-  /// according to `sharedVerdictCache`.
+  /// per device.
   controller::ControllerOptions controller;
   tofino::PipelineModel deviceModel;
   tofino::CompilerOptions deviceCompiler;
@@ -128,10 +121,9 @@ struct DeviceStatus {
 /// Control plane for a fleet of N devices: one FaultTolerantController per
 /// device, per-device FIFO work queues, and a shared support::ThreadPool
 /// that drains the queues concurrently — updates are serialized within a
-/// device while devices proceed independently. A single thread-safe
-/// flay::VerdictCache is (optionally) shared across every device's
-/// semantics-check engine, so a fleet running identical programs pays each
-/// solver probe once fleet-wide instead of once per device.
+/// device while devices proceed independently. Every device's FlayService
+/// owns its own semantics-check engine: the verdict memo is keyed by ids in
+/// that service's expression arena, so devices share no check state.
 ///
 /// Threading contract: enqueue() is safe from any thread; drain() runs the
 /// queues to empty and must not be called concurrently with itself.
@@ -225,9 +217,6 @@ class FleetController {
   void checkpointAll();
 
   controller::FaultTolerantController& controller(size_t device);
-  const std::shared_ptr<flay::VerdictCache>& sharedCache() const {
-    return cache_;
-  }
 
   Transport transport() const { return options_.transport; }
 
@@ -249,7 +238,6 @@ class FleetController {
   /// Fingerprint of the fleet's program (socket transport): every agent's
   /// kHello must match or the handshake is rejected (shard-by-program).
   std::string programFingerprint_;
-  std::shared_ptr<flay::VerdictCache> cache_;  // null when not shared
   std::unique_ptr<support::ThreadPool> pool_;  // null when jobs <= 1
   std::vector<std::unique_ptr<Member>> members_;
 };

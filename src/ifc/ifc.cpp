@@ -261,8 +261,8 @@ IfcReport IfcEngine::runRecheck(bool fromScratch) {
   // Phase 2: rebuild the dirty sinks' queries. Hash-consing makes "did the
   // semantic question change" an O(1) ExprRef comparison; unchanged queries
   // reuse the memoized verdict. Scopes with replaced queries are
-  // invalidated before new probes so stale cache entries and warm clause
-  // groups under "ifc.<sink>" retire first.
+  // invalidated before new probes so the warm clause groups under
+  // "ifc.<sink>" retire first.
   std::vector<size_t> pending;
   std::vector<flay::CheckQuery> batch;
   for (size_t i : dirty) {
@@ -291,7 +291,7 @@ IfcReport IfcEngine::runRecheck(bool fromScratch) {
   }
 
   // Phase 3: settle the changed queries on the constant-verdict hot path —
-  // parallel prefetch, verdict cache, warm probe sessions.
+  // parallel prefetch, verdict memo, warm probe sessions.
   engine.prefetch(batch);
   for (size_t k = 0; k < pending.size(); ++k) {
     FlowState& flow = flows_[pending[k]];
@@ -325,7 +325,7 @@ IfcReport IfcEngine::recheck() {
 IfcReport IfcEngine::recheckFromScratch() {
   // A fresh engine shares no incremental bookkeeping with this one; its
   // pass rebuilds every observation and query from the service's current
-  // state. (The verdict cache may still answer — verdicts are pure facts.)
+  // state. (The verdict memo may still answer — verdicts are pure facts.)
   IfcEngine fresh(service_, policy_);
   return fresh.runRecheck(true);
 }

@@ -36,20 +36,20 @@ struct FlowVerdict {
 };
 
 /// How the last recheck() was served — bookkeeping only; never part of the
-/// rendered report, because cache-hit counts legitimately vary across
-/// jobs/cache/incremental settings while the verdicts may not.
+/// rendered report, because memo-hit counts legitimately vary with the
+/// service's check history while the verdicts may not.
 struct IfcStats {
   size_t flows = 0;      ///< (label, sink) pairs in the policy
   size_t reused = 0;     ///< served by the per-flow memo, no query issued
   size_t queries = 0;    ///< executability queries sent to the check engine
-  size_t cacheHits = 0;  ///< of those, answered by the verdict cache
+  size_t cacheHits = 0;  ///< of those, answered by the engine's verdict memo
   size_t timeouts = 0;   ///< probes that exhausted their budget
 };
 
 /// One IFC pass over the current control-plane state.
 struct IfcReport {
   /// Sorted by (sink, label) — the deterministic-output contract the
-  /// jobs x cache x incremental equivalence matrix diffs.
+  /// --jobs equivalence check (tests/verdict_equiv.sh) diffs.
   std::vector<FlowVerdict> flows;
   IfcStats stats;
 
@@ -75,9 +75,10 @@ struct IfcReport {
 /// every `declassify T L` annotation, agreement on T's installed match
 /// outcome (hit condition and action selector). UNSAT proves
 /// noninterference modulo the declassified release — kSecure. The query
-/// rides the constant-verdict hot path: smt::ProbeSession warm sessions,
-/// the scope-invalidated VerdictCache (under "ifc.<sink>" scope tags), and
-/// CheckEngine parallel prefetch.
+/// rides the constant-verdict hot path: CheckEngine parallel prefetch, its
+/// expression-id verdict memo, and smt::ProbeSession warm sessions whose
+/// clause groups are retired per "ifc.<sink>" scope when a sink's queries
+/// are replaced.
 ///
 /// Incrementality: per sink the engine tracks the control-plane placeholder
 /// symbols its observation depends on; a recheck() compares their resolved
@@ -101,8 +102,9 @@ class IfcEngine : public flay::UpdateAnalysis {
 
   /// Rebuilds every query from the current state, bypassing the per-flow
   /// memo — the from-scratch oracle the incremental path is cross-checked
-  /// against. The verdict cache still serves repeated renderings (verdicts
-  /// are pure facts); what this discards is the incremental bookkeeping.
+  /// against. The engine's verdict memo still serves repeated queries
+  /// (verdicts are pure facts); what this discards is the incremental
+  /// bookkeeping.
   IfcReport recheckFromScratch();
 
   /// flay::UpdateAnalysis: recheck on every analyzed update round.

@@ -1,10 +1,7 @@
 #include "smt/incremental.h"
 
 #include <array>
-#include <optional>
-#include <unordered_set>
 
-#include "expr/traverse.h"
 #include "obs/obs.h"
 #include "smt/internal_obs.h"
 
@@ -18,7 +15,6 @@ ProbeSession::ProbeSession(const expr::ExprArena& arena,
                            ProbeSessionOptions options)
     : arena_(arena), options_(options) {
   rebuild();
-  rebuilds_ = 0;  // the initial warm-up is not a rebuild
 }
 
 void ProbeSession::rebuild() {
@@ -26,7 +22,6 @@ void ProbeSession::rebuild() {
   blaster_ = std::make_unique<BitBlaster>(arena_, *session_);
   blaster_->enableIncremental(watermark_);
   scopeGroups_.clear();
-  ++rebuilds_;
 }
 
 void ProbeSession::setNodeWatermark(uint32_t nodeId) {
@@ -62,70 +57,6 @@ void ProbeSession::retireScope(const std::string& scope) {
   SmtObs::get().groupsRetired.add(1);
 }
 
-const std::vector<ExprRef>& ProbeSession::supportVars(ExprRef e) {
-  auto it = supportCache_.find(e.id);
-  if (it != supportCache_.end()) return it->second;
-  std::vector<ExprRef> vars;
-  std::unordered_set<uint32_t> seen{e.id};
-  std::vector<uint32_t> stack{e.id};
-  while (!stack.empty()) {
-    uint32_t id = stack.back();
-    stack.pop_back();
-    const expr::ExprNode& n = arena_.node(ExprRef{id});
-    if (n.kind == expr::ExprKind::kVar ||
-        n.kind == expr::ExprKind::kBoolVar) {
-      vars.push_back(ExprRef{id});
-      continue;
-    }
-    uint32_t kids[3];
-    int numKids = expr::children(n, kids);
-    for (int i = 0; i < numKids; ++i) {
-      if (seen.insert(kids[i]).second) stack.push_back(kids[i]);
-    }
-  }
-  return supportCache_.emplace(e.id, std::move(vars)).first->second;
-}
-
-std::vector<std::pair<uint32_t, expr::Value>> ProbeSession::readSupportModel(
-    ExprRef e) {
-  std::vector<std::pair<uint32_t, expr::Value>> bindings;
-  const std::vector<ExprRef>& vars = supportVars(e);
-  bindings.reserve(vars.size());
-  for (ExprRef x : vars) {
-    const expr::ExprNode& n = arena_.node(x);
-    if (n.kind == expr::ExprKind::kBoolVar) {
-      bindings.emplace_back(n.a, expr::Value{blaster_->boolModelValue(x)});
-    } else {
-      bindings.emplace_back(n.a, expr::Value{blaster_->bvModelValue(x)});
-    }
-  }
-  return bindings;
-}
-
-bool ProbeSession::tryWitness(ExprRef e, ConstantProbe* out) {
-  auto it = witnesses_.find(e.id);
-  if (it == witnesses_.end()) return false;
-  SmtObs& o = SmtObs::get();
-  obs::ScopedTimer timer(o.checkUs, "smt.probe_incremental");
-  const Witness& w = it->second;
-  eval_.clear();
-  for (const auto& [sym, val] : w.a) eval_.bind(sym, val);
-  std::optional<expr::Value> u = eval_.tryEvaluate(e);
-  eval_.clear();
-  for (const auto& [sym, val] : w.b) eval_.bind(sym, val);
-  std::optional<expr::Value> v = eval_.tryEvaluate(e);
-  if (!u || !v || *u == *v) {
-    // The pair no longer discriminates. Impossible for a pure hash-consed
-    // expression — kept as a correctness valve: drop the witness and let
-    // the solver decide.
-    witnesses_.erase(it);
-    return false;
-  }
-  o.witnessVerdicts.add(1);
-  out->notConstant = true;
-  return true;
-}
-
 bool ProbeSession::tryProbe(ExprRef e, const std::string& scope,
                             uint64_t maxConflicts, ConstantProbe* out) {
   SmtObs& o = SmtObs::get();
@@ -145,29 +76,6 @@ bool ProbeSession::tryProbe(ExprRef e, const std::string& scope,
       l = blaster_->blastBool(e);
       blaster_->collectCone(e);
     }
-    if (auto kc = knownValues_.find(e.id); kc != knownValues_.end()) {
-      // Steady state for a constant point: one UNSAT solve against the
-      // remembered polarity instead of two model searches.
-      const bool kv = std::get<bool>(kc->second);
-      sat::Result other;
-      {
-        auto t = phases.solve();
-        other = session_->solveRestricted(std::array{kv ? ~l : l},
-                                          blaster_->decisionCone(),
-                                          blaster_->coneMask());
-      }
-      if (other == sat::Result::kUnsat) {
-        o.rememberedConstants.add(1);
-        out->constant = true;
-        out->boolValue = kv;
-        return true;
-      }
-      // kSat would contradict the remembered proof (impossible for a pure
-      // expression); kUnknown means the re-proof ran out of budget. Either
-      // way forget the memo and take the fresh fallback.
-      knownValues_.erase(kc);
-      return false;
-    }
     sat::Result asTrue, asFalse;
     {
       auto t = phases.solve();
@@ -175,10 +83,6 @@ bool ProbeSession::tryProbe(ExprRef e, const std::string& scope,
           std::array{l}, blaster_->decisionCone(), blaster_->coneMask());
     }
     if (asTrue == sat::Result::kUnknown) return false;
-    // Capture the true-side witness now; the false-side solve below
-    // overwrites the model.
-    std::vector<std::pair<uint32_t, expr::Value>> whenTrue;
-    if (asTrue == sat::Result::kSat) whenTrue = readSupportModel(e);
     {
       auto t = phases.solve();
       asFalse = session_->solveRestricted(
@@ -188,12 +92,10 @@ bool ProbeSession::tryProbe(ExprRef e, const std::string& scope,
     bool canBeTrue = asTrue == sat::Result::kSat;
     bool canBeFalse = asFalse == sat::Result::kSat;
     if (canBeTrue && canBeFalse) {
-      witnesses_[e.id] = Witness{std::move(whenTrue), readSupportModel(e)};
       out->notConstant = true;
     } else {
       out->constant = true;
       out->boolValue = canBeTrue;
-      knownValues_[e.id] = canBeTrue;
     }
     return true;
   }
@@ -203,33 +105,19 @@ bool ProbeSession::tryProbe(ExprRef e, const std::string& scope,
     blaster_->blastBv(e);
     blaster_->collectCone(e);
   }
-  BitVec v;
-  std::vector<std::pair<uint32_t, expr::Value>> whenEqual;
-  bool remembered = false;
-  if (auto kc = knownValues_.find(e.id); kc != knownValues_.end()) {
-    // Steady state for a constant point: skip the model run and refute
-    // disequality with the remembered value directly (its eqConst gates are
-    // an encoding memo hit, so this emits no clauses).
-    v = std::get<BitVec>(kc->second);
-    remembered = true;
-  } else {
-    sat::Result modelRun;
-    {
-      auto t = phases.solve();
-      modelRun = session_->solveRestricted({}, blaster_->decisionCone(),
-                                           blaster_->coneMask());
-    }
-    if (modelRun == sat::Result::kUnknown) return false;
-    if (modelRun != sat::Result::kSat) {
-      // Unreachable in a consistent encoding, but be conservative.
-      out->notConstant = true;
-      return true;
-    }
-    v = blaster_->bvModelValue(e);
-    // Capture the first witness now; the differs solve below overwrites
-    // the model.
-    whenEqual = readSupportModel(e);
+  sat::Result modelRun;
+  {
+    auto t = phases.solve();
+    modelRun = session_->solveRestricted({}, blaster_->decisionCone(),
+                                         blaster_->coneMask());
   }
+  if (modelRun == sat::Result::kUnknown) return false;
+  if (modelRun != sat::Result::kSat) {
+    // Unreachable in a consistent encoding, but be conservative.
+    out->notConstant = true;
+    return true;
+  }
+  BitVec v = blaster_->bvModelValue(e);
   uint32_t varsBeforeEq = session_->numVars();
   sat::Lit same;
   {
@@ -247,20 +135,8 @@ bool ProbeSession::tryProbe(ExprRef e, const std::string& scope,
   }
   if (differs == sat::Result::kUnknown) return false;
   if (differs == sat::Result::kSat) {
-    if (remembered) {
-      // Contradicts the remembered constant proof — impossible for a pure
-      // expression. Forget it and let the fresh fallback decide.
-      knownValues_.erase(e.id);
-      return false;
-    }
-    witnesses_[e.id] = Witness{std::move(whenEqual), readSupportModel(e)};
     out->notConstant = true;
   } else {
-    if (remembered) {
-      o.rememberedConstants.add(1);
-    } else {
-      knownValues_[e.id] = v;
-    }
     out->constant = true;
     out->value = std::move(v);
   }
@@ -283,15 +159,11 @@ ConstantProbe ProbeSession::probe(ExprRef e, const std::string& scope,
   }
   o.constantQueries.add(1);
   o.incrementalProbes.add(1);
-  // Standing disproof of constancy: two remembered input valuations that
-  // evaluate differently settle the probe with zero solver work.
-  if (tryWitness(e, &result)) return result;
   maybeRebuild();
   if (tryProbe(e, scope, maxConflicts, &result)) return result;
   // A warm solve ran out of budget. Fall back to a fresh single-probe solver
   // with the same budget so the timeout behavior (and hence the verdict) is
-  // exactly what the non-incremental path would produce.
-  ++fallbacks_;
+  // exactly what a fresh probe would produce.
   o.incrementalFallbacks.add(1);
   return probeConstant(arena_, e, maxConflicts);
 }

@@ -5,11 +5,8 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <utility>
-#include <vector>
 
 #include "expr/arena.h"
-#include "expr/eval.h"
 #include "sat/session.h"
 #include "smt/bitblaster.h"
 #include "smt/solver.h"
@@ -37,33 +34,20 @@ struct ProbeSessionOptions {
 /// update round lands in that scope's activation-literal clause group;
 /// nodes older than the watermark (see setNodeWatermark) are shared program
 /// structure and encode into the permanent group. retireScope() disables a
-/// scope's group and purges every memo entry that depended on it — required
-/// for soundness, because a retired group's gate variables become
-/// unconstrained and a stale memo hit would manufacture spurious
+/// scope's group and purges every encoding-memo entry that depended on it —
+/// required for soundness, because a retired group's gate variables become
+/// unconstrained and a stale encoding hit would manufacture spurious
 /// "not constant" answers.
-///
-/// Witness memo: a "not constant" verdict is re-provable without any SAT
-/// search — two input valuations on which the expression concretely
-/// evaluates to different values are a standing disproof of constancy, and
-/// because expressions are immutable hash-consed arena nodes the proof can
-/// never go stale. The session captures such a pair from the solver models
-/// the first time a point is proven not-constant and re-checks it by two
-/// concrete evaluations (microseconds, zero solver work) on every later
-/// probe of the same expression. Constant points symmetrically remember
-/// their proven value so steady-state re-proof is a single UNSAT solve
-/// against it (the equality gate is an encoding memo hit) instead of a
-/// model search plus a refutation. Both memos survive rebuild() and scope
-/// retirement — they reference only arena-level semantics, not encoding
-/// state.
 ///
 /// Determinism: verdicts are facts about expressions, so warm and fresh
 /// probes can only diverge through kUnknown (conflict-budget exhaustion).
 /// Whenever any warm solve returns kUnknown the session falls back to a
 /// fresh smt::probeConstant with the same budget, making its timeout
-/// behavior identical to the non-incremental path. The witness fast path
-/// only ever returns verdicts a budget-free solve would also return, and a
-/// failed remembered-value re-proof (budget exhaustion) drops through to
-/// the same fresh fallback.
+/// behavior identical to a fresh probe's.
+///
+/// The session keeps no verdict memo of its own: the check engine in front
+/// of it memoizes settled verdicts by expression id, so a session is only
+/// asked about expressions that have not been settled yet.
 ///
 /// Not thread-safe: the check engine keeps one session per worker slot.
 class ProbeSession {
@@ -89,53 +73,23 @@ class ProbeSession {
   /// count at the start of an update round. Never lowers.
   void setNodeWatermark(uint32_t nodeId);
 
-  /// Drops all warm state (solver, encoding, scope groups). The next probe
-  /// re-warms lazily.
-  void rebuild();
-
-  uint64_t numRebuilds() const { return rebuilds_; }
-  uint64_t numFallbacks() const { return fallbacks_; }
-  const sat::SolverSession& session() const { return *session_; }
-
  private:
-  /// Two input valuations (symbol id -> concrete value) under which the
-  /// expression evaluates differently; a permanent disproof of constancy.
-  struct Witness {
-    std::vector<std::pair<uint32_t, expr::Value>> a, b;
-  };
-
+  /// Drops all warm state (solver, encoding, scope groups); the encoding
+  /// re-warms lazily on the next probe.
+  void rebuild();
   uint32_t groupForScope(const std::string& scope);
   void maybeRebuild();
   /// Runs the warm two-sided constantness check; returns false when any
   /// solve exhausted its budget (caller falls back to a fresh probe).
   bool tryProbe(expr::ExprRef e, const std::string& scope,
                 uint64_t maxConflicts, ConstantProbe* out);
-  /// Re-proves a remembered not-constant verdict by concretely evaluating
-  /// `e` under both stored witness valuations. Returns false (after
-  /// dropping the pair) if no witness is stored or it fails to
-  /// discriminate.
-  bool tryWitness(expr::ExprRef e, ConstantProbe* out);
-  /// Variable leaves reachable from `e`, cached per expression id.
-  const std::vector<expr::ExprRef>& supportVars(expr::ExprRef e);
-  /// Reads the last solver model's value for every variable in `e`'s
-  /// support. Only valid immediately after a kSat solve whose decision cone
-  /// covered `e`.
-  std::vector<std::pair<uint32_t, expr::Value>> readSupportModel(
-      expr::ExprRef e);
 
   const expr::ExprArena& arena_;
   ProbeSessionOptions options_;
   std::unique_ptr<sat::SolverSession> session_;
   std::unique_ptr<BitBlaster> blaster_;
   std::unordered_map<std::string, uint32_t> scopeGroups_;
-  expr::Evaluator eval_{arena_};
-  // Keyed by expression id; survive rebuild() (see class comment).
-  std::unordered_map<uint32_t, Witness> witnesses_;
-  std::unordered_map<uint32_t, expr::Value> knownValues_;
-  std::unordered_map<uint32_t, std::vector<expr::ExprRef>> supportCache_;
   uint32_t watermark_ = 0;
-  uint64_t rebuilds_ = 0;
-  uint64_t fallbacks_ = 0;
 };
 
 }  // namespace flay::smt

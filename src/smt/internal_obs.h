@@ -34,13 +34,6 @@ struct SmtObs {
   obs::Counter& incrementalProbes = reg.counter("smt.incremental_probes");
   obs::Counter& incrementalFallbacks =
       reg.counter("smt.incremental_fallbacks");
-  // Probes settled by concrete re-evaluation of a remembered witness pair
-  // (no solver work at all).
-  obs::Counter& witnessVerdicts = reg.counter("smt.witness_verdicts");
-  // Constant points re-proven by a single UNSAT solve against their
-  // remembered value.
-  obs::Counter& rememberedConstants =
-      reg.counter("smt.remembered_constants");
   obs::Counter& groupsOpened = reg.counter("smt.groups_opened");
   obs::Counter& groupsRetired = reg.counter("smt.groups_retired");
   obs::Counter& sessionRebuilds = reg.counter("smt.session_rebuilds");

@@ -59,28 +59,16 @@ bool SmtSolver::modelValueBool(ExprRef var) {
 
 uint64_t SmtSolver::numConflicts() const { return sat_->numConflicts(); }
 
-std::optional<bool> isSatisfiableWithin(const expr::ExprArena& arena,
-                                        ExprRef boolExpr,
-                                        uint64_t maxConflicts) {
+bool isSatisfiable(const expr::ExprArena& arena, ExprRef boolExpr) {
   // The arena folds constants eagerly, so test the trivial cases first.
   if (arena.isTrue(boolExpr)) return true;
   if (arena.isFalse(boolExpr)) return false;
   SmtSolver solver(arena);
-  solver.setConflictBudget(maxConflicts);
   solver.assertExpr(boolExpr);
-  switch (solver.check()) {
-    case CheckResult::kSat:
-      return true;
-    case CheckResult::kUnsat:
-      return false;
-    case CheckResult::kUnknown:
-      break;
-  }
-  return std::nullopt;
+  return solver.check() == CheckResult::kSat;
 }
 
-std::optional<bool> isValidWithin(const expr::ExprArena& arena,
-                                  ExprRef boolExpr, uint64_t maxConflicts) {
+bool isValid(const expr::ExprArena& arena, ExprRef boolExpr) {
   SmtObs& o = SmtObs::get();
   if (arena.isTrue(boolExpr) || arena.isFalse(boolExpr)) {
     o.foldedQueries.add(1);
@@ -91,28 +79,9 @@ std::optional<bool> isValidWithin(const expr::ExprArena& arena,
   // valid(e) <=> unsat(!e). Asserting the blasted literal negated encodes !e
   // without needing a mutable arena.
   sat::Solver sat;
-  sat.setConflictBudget(maxConflicts);
   BitBlaster blaster(arena, sat);
-  sat::Lit l = blaster.blastBool(boolExpr);
-  sat.addUnit(~l);
-  switch (sat.solve()) {
-    case sat::Result::kUnsat:
-      return true;
-    case sat::Result::kSat:
-      return false;
-    case sat::Result::kUnknown:
-      break;
-  }
-  o.unknownResults.add(1);
-  return std::nullopt;
-}
-
-bool isSatisfiable(const expr::ExprArena& arena, ExprRef boolExpr) {
-  return *isSatisfiableWithin(arena, boolExpr, 0);
-}
-
-bool isValid(const expr::ExprArena& arena, ExprRef boolExpr) {
-  return *isValidWithin(arena, boolExpr, 0);
+  sat.addUnit(~blaster.blastBool(boolExpr));
+  return sat.solve() == sat::Result::kUnsat;
 }
 
 bool areEquivalent(expr::ExprArena& arena, ExprRef a, ExprRef b) {
@@ -120,61 +89,6 @@ bool areEquivalent(expr::ExprArena& arena, ExprRef a, ExprRef b) {
   if (arena.width(a) != arena.width(b)) return false;
   ExprRef same = arena.eq(a, b);
   return isValid(arena, same);
-}
-
-std::optional<ExprRef> constantValueWithin(expr::ExprArena& arena, ExprRef e,
-                                           uint64_t maxConflicts,
-                                           bool* timedOut) {
-  SmtObs& o = SmtObs::get();
-  if (timedOut != nullptr) *timedOut = false;
-  auto expired = [&]() -> std::optional<ExprRef> {
-    if (timedOut != nullptr) *timedOut = true;
-    o.unknownResults.add(1);
-    return std::nullopt;
-  };
-  if (arena.isConst(e)) {
-    o.foldedQueries.add(1);
-    return e;
-  }
-  o.constantQueries.add(1);
-  obs::ScopedTimer timer(o.checkUs, "smt.constant");
-  // Find one model value v, then check whether e == v is valid.
-  sat::Solver sat;
-  sat.setConflictBudget(maxConflicts);
-  BitBlaster blaster(arena, sat);
-  ExprRef candidate;
-  if (arena.isBool(e)) {
-    sat::Lit l = blaster.blastBool(e);
-    // Try e == true first.
-    sat::Result asTrue = sat.solve(std::array{l});
-    if (asTrue == sat::Result::kUnknown) return expired();
-    sat::Result asFalse = sat.solve(std::array{~l});
-    if (asFalse == sat::Result::kUnknown) return expired();
-    bool canBeTrue = asTrue == sat::Result::kSat;
-    bool canBeFalse = asFalse == sat::Result::kSat;
-    if (canBeTrue && canBeFalse) return std::nullopt;
-    candidate = arena.boolConst(canBeTrue);
-    return candidate;
-  }
-  blaster.blastBv(e);
-  sat::Result modelRun = sat.solve();
-  if (modelRun == sat::Result::kUnknown) return expired();
-  if (modelRun != sat::Result::kSat) {
-    // Unreachable in a consistent encoding, but be conservative.
-    return std::nullopt;
-  }
-  BitVec v = blaster.bvModelValue(e);
-  candidate = arena.bvConst(v);
-  // e can differ from v iff (e == v) is not valid.
-  ExprRef eqV = arena.eq(e, candidate);
-  std::optional<bool> valid = isValidWithin(arena, eqV, maxConflicts);
-  if (!valid.has_value()) return expired();
-  if (*valid) return candidate;
-  return std::nullopt;
-}
-
-std::optional<ExprRef> constantValue(expr::ExprArena& arena, ExprRef e) {
-  return constantValueWithin(arena, e, 0, nullptr);
 }
 
 ConstantProbe probeConstant(const expr::ExprArena& arena, ExprRef e,

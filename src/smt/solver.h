@@ -2,7 +2,6 @@
 #define FLAY_SMT_SOLVER_H
 
 #include <memory>
-#include <optional>
 
 #include "expr/arena.h"
 #include "sat/solver.h"
@@ -48,42 +47,19 @@ class SmtSolver {
   std::unique_ptr<BitBlaster> blaster_;
 };
 
+/// Unbudgeted encoding oracles for tests and microbenchmarks: each builds
+/// one solver for the question and runs it to completion.
+///
 /// True iff `boolExpr` is satisfiable (some packet/config makes it true).
 bool isSatisfiable(const expr::ExprArena& arena, expr::ExprRef boolExpr);
 
 /// True iff `boolExpr` holds for every assignment.
 bool isValid(const expr::ExprArena& arena, expr::ExprRef boolExpr);
 
-/// Budgeted variants: each underlying SAT query may spend at most
-/// `maxConflicts` conflicts (0 = unlimited). nullopt means the deadline
-/// expired with neither answer proven — the caller must fall back to its
-/// conservative path.
-std::optional<bool> isSatisfiableWithin(const expr::ExprArena& arena,
-                                        expr::ExprRef boolExpr,
-                                        uint64_t maxConflicts);
-std::optional<bool> isValidWithin(const expr::ExprArena& arena,
-                                  expr::ExprRef boolExpr,
-                                  uint64_t maxConflicts);
-
 /// True iff `a` and `b` agree on every assignment. Because the arena
 /// hash-conses, `a == b` is checked first and the solver only runs on
 /// structurally different expressions.
 bool areEquivalent(expr::ExprArena& arena, expr::ExprRef a, expr::ExprRef b);
-
-/// If `e` evaluates to the same value under every assignment, returns that
-/// value as a constant expression; otherwise returns nullopt. This is Flay's
-/// "can we replace this program variable with a constant?" query.
-std::optional<expr::ExprRef> constantValue(expr::ExprArena& arena,
-                                           expr::ExprRef e);
-
-/// Budgeted constantValue: nullopt either means "provably not constant" or,
-/// when `*timedOut` is set, "the deadline expired before the question was
-/// settled". Both map to the same conservative caller behavior (keep the
-/// general implementation); the flag exists for telemetry and tests.
-std::optional<expr::ExprRef> constantValueWithin(expr::ExprArena& arena,
-                                                 expr::ExprRef e,
-                                                 uint64_t maxConflicts,
-                                                 bool* timedOut = nullptr);
 
 /// Outcome of probeConstant(). At most one of `constant`/`notConstant`/
 /// `timedOut` interesting states holds: constant carries the proven value
@@ -99,13 +75,15 @@ struct ConstantProbe {
   BitVec value;
 };
 
-/// Arena-const variant of constantValueWithin: proves or refutes the
-/// constantness of `e` without interning any node. The candidate-equality
-/// check is asserted at the SAT level (BitBlaster::eqConst) instead of via
-/// arena.eq, so many probes may run concurrently over one immutable arena —
-/// the foundation of the parallel semantics-check engine. Each probe builds
-/// its own solver; `maxConflicts` (0 = unlimited) bounds every underlying
-/// SAT call separately, like constantValueWithin.
+/// Flay's "can we replace this program variable with a constant?" query:
+/// proves or refutes the constantness of `e` without interning any node.
+/// The candidate-equality check is asserted at the SAT level
+/// (BitBlaster::eqConst) instead of via arena.eq, so many probes may run
+/// concurrently over one immutable arena. Each probe builds its own solver;
+/// `maxConflicts` (0 = unlimited) bounds every underlying SAT call
+/// separately. smt::ProbeSession is the warm counterpart the check engine
+/// probes through, and it falls back to this function whenever a warm solve
+/// exhausts its budget.
 ConstantProbe probeConstant(const expr::ExprArena& arena, expr::ExprRef e,
                             uint64_t maxConflicts);
 

@@ -71,6 +71,15 @@ expect_arg_error "non-numeric --queue-cap" \
   -- fleet "$PROG" --queue-cap big
 expect_arg_error "bad fault plan on fleet" \
   -- fleet "$PROG" --fault-plan bogus-key=3
+# The check engine has one probe path: its former A/B switches are unknown
+# flags.
+expect_arg_error "--no-verdict-cache is gone" \
+  -- ifc "$PROG" --policy "$PROGRAMS/ifc/middleblock-open.policy" \
+     --no-verdict-cache
+expect_arg_error "--no-incremental-sat is gone" \
+  -- fuzz "$PROG" --updates 5 --no-incremental-sat
+expect_arg_error "--no-shared-cache is gone" \
+  -- fleet "$PROG" --devices 2 --no-shared-cache
 expect_arg_error "unknown traffic mix" \
   -- replay "$PROG" --mix elephant-flows
 expect_arg_error "missing value for --mix" \
@@ -127,9 +136,8 @@ expect_ok "crashtest round-trips with a torn tail" \
 expect_ok "fleet drains a faulty 3-device fleet to identical digests" \
   -- fleet "$PROG" --devices 3 --updates 10 --jobs 2 --seed 1 \
      --fault-plan flaky
-expect_ok "fleet with per-device caches and a queue cap" \
-  -- fleet "$PROG" --devices 2 --updates 10 --seed 1 --queue-cap 4 \
-     --no-shared-cache
+expect_ok "fleet with a queue cap" \
+  -- fleet "$PROG" --devices 2 --updates 10 --seed 1 --queue-cap 4
 expect_ok "fleet over the socket transport converges identically" \
   -- fleet "$PROG" --devices 2 --updates 10 --seed 1 --transport socket
 expect_ok "daemon drives spawned agent processes to a clean digest" \
@@ -144,9 +152,9 @@ expect_ok "replay with a fault plan and paced churn" \
 expect_ok "ifc re-verdicts a replayed update stream" \
   -- ifc "$PROG" --policy "$PROGRAMS/ifc/middleblock-strict.policy" \
      --updates 10 --seed 7
-expect_ok "ifc with a replay filter and the cache disabled" \
+expect_ok "ifc with a replay filter" \
   -- ifc "$PROG" --policy "$PROGRAMS/ifc/middleblock-open.policy" \
-     --updates 10 --seed 7 --replay-updates 0,2,4 --no-verdict-cache
+     --updates 10 --seed 7 --replay-updates 0,2,4
 expect_ok "fuzz cross-checks incremental IFC against from-scratch" \
   -- fuzz "$PROG" --updates 10 --seed 3 \
      --ifc-policy "$PROGRAMS/ifc/middleblock-open.policy"

@@ -1,7 +1,8 @@
-// Tests for the parallel semantics-check engine and its canonical-digest
-// verdict cache: cache semantics (first-wins, scope invalidation, collision
-// behavior), thread-pool plumbing, verdict parity across jobs/cache
-// settings, and cache invalidation when components respecialize.
+// Tests for the parallel semantics-check engine: thread-pool plumbing, the
+// expression-id verdict memo (hits, never memoizing timeouts, zero probes on
+// a repeated parallel prefetch), verdict parity across jobs settings and
+// against a fresh solver, and warm clause-group retirement when components
+// respecialize.
 
 #include <gtest/gtest.h>
 
@@ -9,14 +10,14 @@
 #include <random>
 #include <stdexcept>
 #include <string>
-#include <thread>
 
 #include "expr/analysis.h"
-#include "expr/canonical.h"
 #include "flay/check_engine.h"
 #include "flay/engine.h"
 #include "flay/specializer.h"
+#include "obs/obs.h"
 #include "p4/printer.h"
+#include "smt/solver.h"
 #include "support/thread_pool.h"
 
 namespace flay::flay {
@@ -122,168 +123,6 @@ TEST(ThreadPool, NestedRunOnDifferentPoolWorks) {
 }
 
 // ---------------------------------------------------------------------------
-// VerdictCache
-
-CachedVerdict boolVerdictOf(bool v) {
-  CachedVerdict c;
-  c.kind = CachedVerdict::Kind::kBoolConst;
-  c.boolValue = v;
-  return c;
-}
-
-std::vector<std::string> scopes(std::initializer_list<const char*> names) {
-  return std::vector<std::string>(names.begin(), names.end());
-}
-
-TEST(VerdictCache, InsertLookupRoundTrip) {
-  VerdictCache cache;
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_FALSE(cache.lookup("(and a b)").has_value());
-
-  auto tagged = scopes({"C.t"});
-  cache.insert("(and a b)", boolVerdictOf(true), tagged);
-  EXPECT_EQ(cache.size(), 1u);
-  auto hit = cache.lookup("(and a b)");
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->kind, CachedVerdict::Kind::kBoolConst);
-  EXPECT_TRUE(hit->boolValue);
-  EXPECT_FALSE(cache.lookup("(and a c)").has_value());
-}
-
-TEST(VerdictCache, FirstVerdictWins) {
-  VerdictCache cache;
-  auto tagged = scopes({"C.t"});
-  cache.insert("k", boolVerdictOf(true), tagged);
-  cache.insert("k", boolVerdictOf(false), tagged);  // ignored
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_TRUE(cache.lookup("k")->boolValue);
-}
-
-TEST(VerdictCache, ScopeInvalidationDropsOnlyThatScope) {
-  VerdictCache cache;
-  auto t1 = scopes({"C.t1"});
-  auto t2 = scopes({"C.t2"});
-  auto both = scopes({"C.t1", "C.t2"});
-  cache.insert("a", boolVerdictOf(true), t1);
-  cache.insert("b", boolVerdictOf(true), t2);
-  cache.insert("c", boolVerdictOf(true), both);
-  EXPECT_EQ(cache.size(), 3u);
-
-  cache.invalidateScope("C.t1");
-  EXPECT_FALSE(cache.lookup("a").has_value());
-  EXPECT_TRUE(cache.lookup("b").has_value());
-  EXPECT_FALSE(cache.lookup("c").has_value());  // tagged with t1 too
-  EXPECT_EQ(cache.size(), 1u);
-
-  // Invalidating again (or an unknown scope) is a no-op.
-  cache.invalidateScope("C.t1");
-  cache.invalidateScope("C.never");
-  EXPECT_EQ(cache.size(), 1u);
-}
-
-TEST(VerdictCache, BvVerdictCarriesValue) {
-  VerdictCache cache;
-  CachedVerdict v;
-  v.kind = CachedVerdict::Kind::kBvConst;
-  v.value = BitVec(32, 0xDEAD);
-  auto tagged = scopes({"C.t"});
-  cache.insert("bv", v, tagged);
-  auto hit = cache.lookup("bv");
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->kind, CachedVerdict::Kind::kBvConst);
-  EXPECT_EQ(hit->value.toUint64(), 0xDEADu);
-}
-
-// Collision-resistance smoke test: the cache is keyed by a 64-bit digest,
-// but entries carry their full rendering and compare it on lookup — so even
-// adversarially similar renderings (one character apart, the classic FNV
-// weak spot) can never serve each other's verdicts.
-TEST(VerdictCache, NearIdenticalRenderingsNeverCrossTalk) {
-  VerdictCache cache;
-  auto tagged = scopes({"C.t"});
-  constexpr int kEntries = 2000;
-  for (int i = 0; i < kEntries; ++i) {
-    CachedVerdict v;
-    v.kind = CachedVerdict::Kind::kBvConst;
-    v.value = BitVec(32, static_cast<uint64_t>(i));
-    cache.insert("(eq x #x" + std::to_string(i) + ")", v, tagged);
-  }
-  EXPECT_EQ(cache.size(), static_cast<size_t>(kEntries));
-  for (int i = 0; i < kEntries; ++i) {
-    auto hit = cache.lookup("(eq x #x" + std::to_string(i) + ")");
-    ASSERT_TRUE(hit.has_value()) << i;
-    EXPECT_EQ(hit->value.toUint64(), static_cast<uint64_t>(i)) << i;
-  }
-  EXPECT_FALSE(cache.lookup("(eq x #x" + std::to_string(kEntries) + ")")
-                   .has_value());
-}
-
-// Thread-safety hammer: concurrent inserts, lookups, and scope
-// invalidations over overlapping keys and scopes (this runs under TSan in
-// CI). The semantic invariant a data race would break: a hit can only ever
-// return the verdict some thread inserted for exactly that rendering —
-// here, the bitvector value is a pure function of the key.
-TEST(VerdictCache, ConcurrentHammerKeepsVerdictsConsistent) {
-  VerdictCache cache;
-  constexpr int kThreads = 4;
-  constexpr int kIters = 3000;
-  constexpr int kKeys = 64;
-  auto keyOf = [](int k) { return "(eq x #x" + std::to_string(k) + ")"; };
-  auto valueOf = [](int k) {
-    CachedVerdict v;
-    v.kind = CachedVerdict::Kind::kBvConst;
-    v.value = BitVec(32, static_cast<uint64_t>(k));
-    return v;
-  };
-  std::atomic<int> wrongHits{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      std::mt19937 rng(1000 + t);
-      for (int i = 0; i < kIters; ++i) {
-        int k = static_cast<int>(rng() % kKeys);
-        switch (rng() % 4) {
-          case 0:
-          case 1: {
-            auto hit = cache.lookup(keyOf(k));
-            if (hit.has_value() &&
-                hit->value.toUint64() != static_cast<uint64_t>(k)) {
-              wrongHits.fetch_add(1);
-            }
-            break;
-          }
-          case 2:
-            cache.insert(keyOf(k), valueOf(k),
-                         std::vector<std::string>{"s" + std::to_string(k % 8)});
-            break;
-          default:
-            cache.invalidateScope("s" + std::to_string(k % 8));
-            break;
-        }
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(wrongHits.load(), 0);
-  // The cache is still coherent afterwards.
-  cache.insert("post-hammer", boolVerdictOf(true), scopes({"s0"}));
-  EXPECT_TRUE(cache.lookup("post-hammer").has_value());
-  cache.invalidateScope("s0");
-  EXPECT_FALSE(cache.lookup("post-hammer").has_value());
-}
-
-TEST(VerdictCache, OverflowEvictsWholesaleAndKeepsWorking) {
-  VerdictCache cache(/*maxEntries=*/4);
-  auto tagged = scopes({"C.t"});
-  for (int i = 0; i < 10; ++i) {
-    cache.insert("r" + std::to_string(i), boolVerdictOf(true), tagged);
-  }
-  EXPECT_LE(cache.size(), 4u);
-  // The most recent insert always lands.
-  EXPECT_TRUE(cache.lookup("r9").has_value());
-}
-
-// ---------------------------------------------------------------------------
 // CheckEngine through a FlayService
 
 const char* kProgram = R"(
@@ -346,78 +185,112 @@ class CheckEngineTest : public ::testing::Test {
     service.applyUpdate(Update::insert("C.t2", exactEntry(4, 11)));
   }
 
-  SpecializationResult specializeWith(FlayService& service, size_t jobs,
-                                      bool cache) {
+  SpecializationResult specializeWith(FlayService& service, size_t jobs) {
     SpecializerOptions sopts;
     sopts.jobs = jobs;
-    sopts.useVerdictCache = cache;
     return Specializer(service, sopts).specialize();
+  }
+
+  std::vector<CheckQuery> allPoints(const FlayService& service) {
+    std::vector<CheckQuery> queries;
+    for (const auto& p : service.analysis().annotations.points()) {
+      queries.push_back({p.specialized, p.component});
+    }
+    return queries;
+  }
+
+  static uint64_t counter(const char* name) {
+    return obs::Registry::global().counter(name).value();
   }
 
   p4::CheckedProgram checked;
 };
 
-// The acceptance property of the whole PR: the specialized program and every
+// The acceptance property of the engine: the specialized program and every
 // stat derived from verdicts are identical whatever the jobs count and
-// whether the cache is on.
+// whether the memo is cold (first specialize) or warm (a repeat).
 TEST_F(CheckEngineTest, VerdictsIdenticalAcrossJobsAndCacheSettings) {
   std::string reference;
   SpecializationStats refStats;
-  struct Setting {
-    size_t jobs;
-    bool cache;
-  };
-  for (Setting s : {Setting{1, true}, Setting{1, false}, Setting{4, true},
-                    Setting{4, false}}) {
+  for (size_t jobs : {size_t{1}, size_t{4}}) {
     FlayService service(checked);
     populate(service);
-    SpecializationResult result = specializeWith(service, s.jobs, s.cache);
-    std::string printed = p4::printProgram(result.program);
-    if (reference.empty()) {
-      reference = printed;
-      refStats = result.stats;
-      continue;
+    for (const char* memo : {"cold", "warm"}) {
+      SpecializationResult result = specializeWith(service, jobs);
+      std::string printed = p4::printProgram(result.program);
+      if (reference.empty()) {
+        reference = printed;
+        refStats = result.stats;
+        continue;
+      }
+      EXPECT_EQ(printed, reference) << "jobs=" << jobs << " memo=" << memo;
+      EXPECT_EQ(result.stats.totalChanges(), refStats.totalChanges());
+      EXPECT_EQ(result.stats.solverQueries, refStats.solverQueries);
+      EXPECT_EQ(result.stats.solverTimeouts, refStats.solverTimeouts);
     }
-    EXPECT_EQ(printed, reference) << "jobs=" << s.jobs << " cache=" << s.cache;
-    EXPECT_EQ(result.stats.totalChanges(), refStats.totalChanges());
-    EXPECT_EQ(result.stats.solverQueries, refStats.solverQueries);
-    EXPECT_EQ(result.stats.solverTimeouts, refStats.solverTimeouts);
   }
 }
 
-// A second specialize of unchanged state is served from the cache: same
-// verdicts, and the engine's staged/cached path answers without new probes.
+// A second specialize of unchanged state is served from the memo: same
+// verdicts, and not a single new probe.
 TEST_F(CheckEngineTest, RepeatSpecializeHitsCache) {
   FlayService service(checked);
   populate(service);
-  SpecializationResult first = specializeWith(service, 1, true);
-  size_t cachedAfterFirst = service.checkEngine().cache().size();
-  EXPECT_GT(cachedAfterFirst, 0u);
+  SpecializationResult first = specializeWith(service, 1);
+  ASSERT_GT(first.stats.solverQueries, 0u);
+  const uint64_t probes = counter("smt.constant_queries");
+  const uint64_t hits = counter("cache.hits");
 
-  SpecializationResult second = specializeWith(service, 1, true);
+  SpecializationResult second = specializeWith(service, 1);
   EXPECT_EQ(p4::printProgram(first.program), p4::printProgram(second.program));
-  // No new formulas appeared, so the cache did not grow.
-  EXPECT_EQ(service.checkEngine().cache().size(), cachedAfterFirst);
+  EXPECT_EQ(counter("smt.constant_queries"), probes);
+  EXPECT_GT(counter("cache.hits"), hits);
 }
 
-// Respecializing a component invalidates its cache entries (memory hygiene:
-// the old formulas are unreachable), while other components' entries stay.
+// Respecializing a component retires its warm clause groups, and the next
+// specialize answers exactly like a service that never saw the old
+// formulas.
 TEST_F(CheckEngineTest, UpdateInvalidatesChangedComponentEntries) {
   FlayService service(checked);
   populate(service);
-  specializeWith(service, 1, true);
-  VerdictCache& cache = service.checkEngine().cache();
-  size_t before = cache.size();
-  ASSERT_GT(before, 0u);
+  specializeWith(service, 1);
+  const uint64_t retired = counter("smt.groups_retired");
 
   // Change t1's config: its points respecialize, its scope is invalidated.
-  service.applyUpdate(
-      Update::insert("C.t1", ternaryEntry(3, 0xFF, "drop_pkt", 0, 2)));
-  EXPECT_LT(cache.size(), before);
+  const Update update =
+      Update::insert("C.t1", ternaryEntry(3, 0xFF, "drop_pkt", 0, 2));
+  service.applyUpdate(update);
+  EXPECT_GT(counter("smt.groups_retired"), retired);
 
-  // The next specialize still answers correctly and repopulates.
-  SpecializationResult after = specializeWith(service, 1, true);
+  SpecializationResult after = specializeWith(service, 1);
   EXPECT_EQ(after.stats.solverTimeouts, 0u);
+  FlayService cold(checked);
+  populate(cold);
+  cold.applyUpdate(update);
+  EXPECT_EQ(p4::printProgram(after.program),
+            p4::printProgram(specializeWith(cold, 1).program));
+}
+
+// With jobs = 4 a batch is sliced across four warm sessions. Repeating the
+// prefetch runs zero probes: the memo answers every expression whichever
+// slot settled it the first time.
+TEST_F(CheckEngineTest, RepeatedParallelPrefetchRunsNoProbes) {
+  FlayService service(checked);
+  populate(service);
+  CheckEngineOptions eopts;
+  eopts.jobs = 4;
+  service.checkEngine().configure(eopts);
+  std::vector<CheckQuery> queries = allPoints(service);
+
+  const uint64_t before = counter("parallel.prefetch_queries");
+  service.checkEngine().prefetch(queries);
+  const uint64_t probed = counter("parallel.prefetch_queries");
+  ASSERT_GT(probed, before + 1) << "the batch must span several slots";
+  const uint64_t probes = counter("smt.constant_queries");
+
+  service.checkEngine().prefetch(queries);
+  EXPECT_EQ(counter("parallel.prefetch_queries"), probed);
+  EXPECT_EQ(counter("smt.constant_queries"), probes);
 }
 
 // Direct prefetch API: staging the whole annotation set and then asking
@@ -432,11 +305,7 @@ TEST_F(CheckEngineTest, PrefetchedVerdictsMatchLazyOnes) {
   eopts.jobs = 4;
   parallel.checkEngine().configure(eopts);
 
-  std::vector<CheckQuery> queries;
-  for (const auto& p : parallel.analysis().annotations.points()) {
-    queries.push_back({p.specialized, p.component});
-  }
-  parallel.checkEngine().prefetch(queries);
+  parallel.checkEngine().prefetch(allPoints(parallel));
 
   // Compare every boolean point's verdict against the serial engine.
   for (const auto& p : parallel.analysis().annotations.points()) {
@@ -451,63 +320,18 @@ TEST_F(CheckEngineTest, PrefetchedVerdictsMatchLazyOnes) {
   }
 }
 
-// Disabling the cache via configure means repeated checks re-probe but still
-// agree; the cache object stays untouched.
-TEST_F(CheckEngineTest, CacheOffLeavesCacheEmpty)
-{
-  FlayService service(checked);
-  populate(service);
-  specializeWith(service, 1, false);
-  EXPECT_EQ(service.checkEngine().cache().size(), 0u);
-}
-
-// ---------------------------------------------------------------------------
-// Incremental SAT: delta-CNF encoding vs full re-encoding
-
-// A specialize run answers identically with warm incremental sessions and
-// with a fresh solver per probe — the core equivalence of the delta-CNF
-// path, checked on the printed program and every verdict-derived stat.
-TEST_F(CheckEngineTest, IncrementalAndFreshSpecializeIdentically) {
-  auto runWith = [&](bool incremental, size_t jobs) {
-    FlayService service(checked);
-    populate(service);
-    SpecializerOptions sopts;
-    sopts.jobs = jobs;
-    sopts.incrementalSat = incremental;
-    return Specializer(service, sopts).specialize();
-  };
-  SpecializationResult fresh = runWith(false, 1);
-  for (size_t jobs : {size_t{1}, size_t{4}}) {
-    SpecializationResult warm = runWith(true, jobs);
-    EXPECT_EQ(p4::printProgram(warm.program), p4::printProgram(fresh.program))
-        << "jobs=" << jobs;
-    EXPECT_EQ(warm.stats.totalChanges(), fresh.stats.totalChanges());
-    EXPECT_EQ(warm.stats.solverQueries, fresh.stats.solverQueries);
-    EXPECT_EQ(warm.stats.solverTimeouts, fresh.stats.solverTimeouts);
-  }
-}
-
-// Delta-parity under churn: a fuzzed update script drives two services in
-// lockstep — one probing through warm incremental sessions (delta CNF,
-// clause-group retirement on every respecialized component), one through
-// fresh per-probe solvers — and every program point's verdict must match
-// point-by-point after every round.
+// Parity under churn: a fuzzed update script drives a service whose engine
+// probes through warm sessions (delta CNF, clause-group retirement on every
+// respecialized component), and after every round every program point's
+// engine verdict must match a fresh smt::probeConstant, the reference.
 TEST_F(CheckEngineTest, FuzzedUpdateScriptKeepsDeltaAndFullEncodingInParity) {
   FlayService warm(checked);
-  FlayService fresh(checked);
-  {
-    CheckEngineOptions on;
-    on.incrementalSat = true;
-    warm.checkEngine().configure(on);
-    CheckEngineOptions off;
-    off.incrementalSat = false;
-    fresh.checkEngine().configure(off);
-  }
+  const CheckEngineOptions limits;
   std::mt19937 rng(20260808);
   std::vector<uint64_t> t1Ids, t2Ids;
   uint64_t nextId = 1;
   for (int round = 0; round < 12; ++round) {
-    // One random update, applied to both services.
+    // One random update.
     Update u = Update::insert("C.t1", ternaryEntry(0, 0, "noop", 0, 1));
     switch (rng() % 5) {
       case 0:
@@ -541,29 +365,34 @@ TEST_F(CheckEngineTest, FuzzedUpdateScriptKeepsDeltaAndFullEncodingInParity) {
     }
     try {
       warm.applyUpdate(u);
-      fresh.applyUpdate(u);
     } catch (const std::exception&) {
-      continue;  // duplicate/malformed draw: both services rejected it alike
+      continue;  // duplicate/malformed draw
     }
-    ASSERT_EQ(warm.stateDigest(), fresh.stateDigest()) << "round " << round;
     // Point-by-point verdict parity on the freshly specialized expressions.
+    const expr::ExprArena& arena = warm.arena();
     for (const auto& p : warm.analysis().annotations.points()) {
-      const auto& fp = fresh.analysis().annotations.point(p.id);
-      ASSERT_EQ(p.specialized, fp.specialized);
-      if (warm.arena().isBool(p.specialized)) {
-        TriVerdict w =
-            warm.checkEngine().boolVerdict(p.specialized, p.component);
-        TriVerdict f =
-            fresh.checkEngine().boolVerdict(fp.specialized, fp.component);
-        ASSERT_EQ(static_cast<int>(w), static_cast<int>(f))
+      expr::ExprRef e = p.specialized;
+      if (arena.isConst(e) ||
+          expr::dagSize(arena, e) > limits.solverDagLimit) {
+        continue;  // settled (or left unknown) without any probe
+      }
+      smt::ConstantProbe ref =
+          smt::probeConstant(arena, e, limits.solverConflictBudget);
+      if (arena.isBool(e)) {
+        TriVerdict expected = !ref.constant ? TriVerdict::kUnknown
+                              : ref.boolValue ? TriVerdict::kTrue
+                                              : TriVerdict::kFalse;
+        TriVerdict v = warm.checkEngine().boolVerdict(e, p.component);
+        ASSERT_EQ(static_cast<int>(v), static_cast<int>(expected))
             << "round " << round << " point " << p.id << " (" << p.label
             << ")";
       } else {
-        auto w = warm.checkEngine().constVerdict(p.specialized, p.component);
-        auto f = fresh.checkEngine().constVerdict(fp.specialized, fp.component);
-        ASSERT_EQ(w.has_value(), f.has_value())
+        auto w = warm.checkEngine().constVerdict(e, p.component);
+        ASSERT_EQ(w.has_value(), ref.constant)
             << "round " << round << " point " << p.id;
-        if (w.has_value()) ASSERT_EQ(w->toHexString(), f->toHexString());
+        if (w.has_value()) {
+          ASSERT_EQ(w->toHexString(), ref.value.toHexString());
+        }
       }
     }
   }
@@ -600,64 +429,85 @@ expr::ExprRef pigeonholeExpr(expr::ExprArena& arena) {
   return all;
 }
 
-// Regression pin: a verdict that times out (kUnknown) is never cached — in
-// fresh mode or incremental mode. If it were, the later budget raise would
-// keep serving the stale kUnknown instead of settling the question.
+// Regression pin: a verdict that times out (kUnknown) is never memoized —
+// neither by a prefetch nor by a lazy check. If it were, the later budget
+// raise would keep serving the stale kUnknown instead of settling the
+// question.
 TEST(CheckEngineTimeout, UnknownNeverCachedInEitherMode) {
   expr::ExprArena arena;
   expr::ExprRef ph = pigeonholeExpr(arena);
-  for (bool incremental : {false, true}) {
-    CheckEngine engine(arena);
-    CheckEngineOptions eopts;
-    eopts.incrementalSat = incremental;
-    eopts.solverConflictBudget = 2;
-    engine.configure(eopts);
+  CheckEngine engine(arena);
+  CheckEngineOptions eopts;
+  eopts.solverConflictBudget = 2;
+  engine.configure(eopts);
+  auto probes = [] {
+    return obs::Registry::global().counter("smt.constant_queries").value();
+  };
 
-    CheckOutcome starved;
-    TriVerdict v = engine.boolVerdict(ph, "C.t", &starved);
-    EXPECT_EQ(static_cast<int>(v), static_cast<int>(TriVerdict::kUnknown))
-        << "incremental=" << incremental;
-    EXPECT_TRUE(starved.timedOut);
-    EXPECT_EQ(engine.cache().size(), 0u)
-        << "timed-out verdict was cached (incremental=" << incremental << ")";
+  // Prefetch path: the staged result is the timeout, and the next prefetch
+  // probes again.
+  const uint64_t beforePrefetch = probes();
+  engine.prefetch({{ph, "C.t"}});
+  CheckOutcome staged;
+  EXPECT_EQ(static_cast<int>(engine.boolVerdict(ph, "C.t", &staged)),
+            static_cast<int>(TriVerdict::kUnknown));
+  EXPECT_TRUE(staged.timedOut);
+  EXPECT_GT(probes(), beforePrefetch);
+  const uint64_t afterPrefetch = probes();
+  engine.prefetch({{ph, "C.t"}});
+  EXPECT_GT(probes(), afterPrefetch) << "a timed-out verdict was memoized";
 
-    // With the budget lifted the same engine settles the question — which a
-    // cached kUnknown would have made impossible.
-    eopts.solverConflictBudget = 0;
-    engine.configure(eopts);
-    CheckOutcome settled;
-    v = engine.boolVerdict(ph, "C.t", &settled);
-    EXPECT_EQ(static_cast<int>(v), static_cast<int>(TriVerdict::kFalse))
-        << "incremental=" << incremental;
-    EXPECT_FALSE(settled.timedOut);
-    EXPECT_EQ(engine.cache().size(), 1u);
-  }
+  // Lazy path: every check of the starved question probes again.
+  engine.prefetch({});
+  CheckOutcome starved;
+  EXPECT_EQ(static_cast<int>(engine.boolVerdict(ph, "C.t", &starved)),
+            static_cast<int>(TriVerdict::kUnknown));
+  EXPECT_TRUE(starved.timedOut);
+  EXPECT_FALSE(starved.cacheHit) << "a timed-out verdict was memoized";
+
+  // With the budget lifted the same engine settles the question — which a
+  // memoized kUnknown would have made impossible — and from then on the
+  // memo answers.
+  eopts.solverConflictBudget = 0;
+  engine.configure(eopts);
+  CheckOutcome settled;
+  EXPECT_EQ(static_cast<int>(engine.boolVerdict(ph, "C.t", &settled)),
+            static_cast<int>(TriVerdict::kFalse));
+  EXPECT_FALSE(settled.timedOut);
+  EXPECT_FALSE(settled.cacheHit);
+  CheckOutcome memoized;
+  EXPECT_EQ(static_cast<int>(engine.boolVerdict(ph, "C.t", &memoized)),
+            static_cast<int>(TriVerdict::kFalse));
+  EXPECT_TRUE(memoized.cacheHit);
 }
 
 // Scope invalidation retires the matching warm clause groups: after a
-// component's scope is invalidated, probes for that scope re-encode from
-// scratch and still answer correctly (a stale group would leave the old
-// gates' activation guard dangling and could flip verdicts).
+// component's scope is invalidated, new expressions over the retired
+// formulas re-encode them and still answer correctly (a stale group would
+// leave the old gates' activation guard dangling and could flip verdicts).
 TEST(CheckEngineTimeout, ScopeInvalidationKeepsWarmSessionSound) {
   expr::ExprArena arena;
   expr::ExprRef ph = pigeonholeExpr(arena);
-  expr::ExprRef trivial =
-      arena.bOr(ph, arena.bNot(ph));  // tautology sharing ph's structure
   CheckEngine engine(arena);
-  CheckEngineOptions eopts;
-  eopts.incrementalSat = true;
-  engine.configure(eopts);
   EXPECT_EQ(static_cast<int>(engine.boolVerdict(ph, "C.t")),
             static_cast<int>(TriVerdict::kFalse));
   engine.invalidateScope("C.t");
-  // Re-probing after retirement must re-derive the same verdicts.
-  EXPECT_EQ(static_cast<int>(engine.boolVerdict(ph, "C.t")),
-            static_cast<int>(TriVerdict::kFalse));
-  EXPECT_EQ(static_cast<int>(engine.boolVerdict(trivial, "C.t")),
+
+  // Unsettled expressions sharing ph's structure probe through the session
+  // whose group for "C.t" was just retired.
+  expr::ExprRef q = arena.boolVar("q", expr::SymbolClass::kDataPlane);
+  EXPECT_EQ(static_cast<int>(engine.boolVerdict(
+                arena.bOr(ph, arena.bNot(ph)), "C.t")),
             static_cast<int>(TriVerdict::kTrue));
-  engine.clearCache();  // full teardown path (onCacheCleared -> rebuild)
-  EXPECT_EQ(static_cast<int>(engine.boolVerdict(ph, "C.t")),
+  EXPECT_EQ(static_cast<int>(engine.boolVerdict(arena.bAnd(ph, q), "C.t")),
             static_cast<int>(TriVerdict::kFalse));
+  EXPECT_EQ(static_cast<int>(engine.boolVerdict(arena.bOr(ph, q), "C.t")),
+            static_cast<int>(TriVerdict::kUnknown));
+  // The memo still answers the settled question.
+  CheckOutcome outcome;
+  EXPECT_EQ(static_cast<int>(engine.boolVerdict(ph, "C.t", &outcome)),
+            static_cast<int>(TriVerdict::kFalse));
+  EXPECT_TRUE(outcome.cacheHit);
 }
 
 }  // namespace

@@ -432,10 +432,9 @@ TEST(SolverDeadline, SmtBudgetedConstantValueReportsTimeout) {
   expr::ExprRef rhs = arena.mul(x, arena.add(x, one));
   expr::ExprRef identity = arena.eq(lhs, rhs);
 
-  bool timedOut = false;
-  auto c = smt::constantValueWithin(arena, identity, 1, &timedOut);
-  EXPECT_TRUE(timedOut);
-  EXPECT_FALSE(c.has_value()) << "deadline expiry must read as non-constant";
+  smt::ConstantProbe c = smt::probeConstant(arena, identity, 1);
+  EXPECT_TRUE(c.timedOut);
+  EXPECT_FALSE(c.constant) << "deadline expiry must read as non-constant";
 }
 
 // The specializer's use of the deadline is fail-safe: a starved solver can

@@ -5,7 +5,9 @@
 
 #include "expr/printer.h"
 #include "flay/engine.h"
+#include "flay/specializer.h"
 #include "net/fuzzer.h"
+#include "p4/printer.h"
 
 namespace flay::flay {
 namespace {
@@ -115,6 +117,54 @@ TEST_F(EngineTest, DefaultActionChangeTriggersRecompile) {
   // Setting it to the same thing again: nothing changes.
   auto verdict2 = service.applyUpdate(Update::setDefault("C.t", "drop_pkt", {}));
   EXPECT_FALSE(verdict2.expressionsChanged);
+}
+
+// A table whose hit specializes to false has its default action's body
+// inlined. Re-pointing the default at an action some entry already uses
+// leaves the reachable-action set unchanged, but not the specialized
+// program: the verdict must still say recompile.
+TEST(EngineDefaultAction, SetDefaultToUsedActionOnNeverHitTableRecompiles) {
+  p4::CheckedProgram checked = p4::loadProgramFromString(R"(
+header h_t { bit<8> a; bit<8> b; }
+struct headers { h_t h; }
+struct metadata { bit<8> k; }
+parser P { state start { extract(hdr.h); transition accept; } }
+control C {
+  action drop_pkt() { mark_to_drop(); }
+  table t {
+    key = { meta.k : exact; }
+    actions = { drop_pkt; noop; }
+    default_action = noop;
+    size = 16;
+  }
+  apply {
+    sm.egress_spec = (bit<9>) hdr.h.b;
+    meta.k = 7;
+    if (hdr.h.a == 1) { t.apply(); }
+  }
+}
+deparser D { emit(hdr.h); }
+pipeline(P, C, D);
+)");
+  FlayService service(checked);
+  auto exact = [](uint64_t k, const char* action) {
+    TableEntry e;
+    e.matches.push_back(FieldMatch::exact(BitVec(8, k)));
+    e.actionName = action;
+    return e;
+  };
+  service.applyUpdate(Update::insert("C.t", exact(1, "drop_pkt")));
+  service.applyUpdate(Update::insert("C.t", exact(2, "noop")));
+  const TableInfo& info = service.analysis().table("C.t");
+  ASSERT_TRUE(service.arena().isFalse(service.specialized(info.hitPoint)));
+  std::string before =
+      p4::printProgram(Specializer(service).specialize().program);
+
+  auto verdict = service.applyUpdate(Update::setDefault("C.t", "drop_pkt", {}));
+  std::string after =
+      p4::printProgram(Specializer(service).specialize().program);
+  ASSERT_NE(before, after) << "the inlined default body changed";
+  EXPECT_TRUE(verdict.needsRecompilation);
 }
 
 TEST_F(EngineTest, MalformedUpdateThrowsAndLeavesStateIntact) {

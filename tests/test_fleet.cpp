@@ -1,7 +1,7 @@
 // Tests for the multi-device fleet controller: broadcast/drain convergence,
-// per-device fault isolation (bounded queues, degraded members), the shared
-// verdict cache, and fleet-wide crash recovery — every device's journal
-// replays independently and lands on the digest of an uninterrupted run.
+// per-device fault isolation (bounded queues, degraded members), and
+// fleet-wide crash recovery — every device's journal replays independently
+// and lands on the digest of an uninterrupted run.
 
 #include "fleet/fleet.h"
 
@@ -152,29 +152,6 @@ TEST(Fleet, DegradedDeviceDoesNotStallTheFleet) {
     EXPECT_EQ(s.queued, 0u) << s.name;
     EXPECT_EQ(fc.stateDigest(i), first) << s.name;
   }
-}
-
-TEST(Fleet, SharedCacheIsExposedAndOptional) {
-  p4::CheckedProgram checked = load("middleblock");
-  auto script = net::fuzzUpdateSequence(checked, 8, /*seed=*/5);
-
-  FleetOptions shared;
-  shared.devices = 2;
-  FleetController withCache(checked, shared);
-  ASSERT_NE(withCache.sharedCache(), nullptr);
-  for (const auto& u : script) withCache.broadcast(u);
-  withCache.drain();
-  EXPECT_GT(withCache.sharedCache()->size(), 0u);
-
-  FleetOptions priv = shared;
-  priv.sharedVerdictCache = false;
-  FleetController withoutCache(checked, priv);
-  EXPECT_EQ(withoutCache.sharedCache(), nullptr);
-  for (const auto& u : script) withoutCache.broadcast(u);
-  withoutCache.drain();
-
-  // The cache is an accelerator, never a semantic input.
-  EXPECT_EQ(withCache.fleetDigest(), withoutCache.fleetDigest());
 }
 
 TEST(Fleet, StatusOfUnknownDeviceThrows) {

@@ -614,6 +614,12 @@ struct GoldenCase {
   const char* policy;  // "strict" or "open"
 };
 
+// gtest prints the parameter into each test's name; without this it dumps
+// the two pointers' bytes, which move with every run under ASLR.
+void PrintTo(const GoldenCase& gc, std::ostream* os) {
+  *os << gc.program << "." << gc.policy;
+}
+
 class IfcGoldenTest : public ::testing::TestWithParam<GoldenCase> {};
 
 // The rendered verdict trajectory of each bundled program under each

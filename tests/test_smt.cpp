@@ -127,25 +127,25 @@ TEST_F(SmtTest, ConstantValueDetectsConstants) {
   // a genuinely semantic case: (x + y) - y - x + 7 == 7.
   ExprRef e = arena.add(
       arena.sub(arena.sub(arena.add(x(), y()), y()), x()), bv(8, 7));
-  auto c = constantValue(arena, e);
-  ASSERT_TRUE(c.has_value());
-  EXPECT_EQ(arena.constValue(*c).toUint64(), 7u);
+  ConstantProbe c = probeConstant(arena, e, 0);
+  ASSERT_TRUE(c.constant);
+  EXPECT_EQ(c.value.toUint64(), 7u);
 }
 
 TEST_F(SmtTest, ConstantValueRejectsNonConstants) {
-  EXPECT_FALSE(constantValue(arena, x()).has_value());
-  EXPECT_FALSE(constantValue(arena, arena.add(x(), bv(8, 1))).has_value());
+  EXPECT_TRUE(probeConstant(arena, x(), 0).notConstant);
+  EXPECT_TRUE(probeConstant(arena, arena.add(x(), bv(8, 1)), 0).notConstant);
 }
 
 TEST_F(SmtTest, ConstantValueBoolCases) {
   ExprRef p = arena.boolVar("p", SymbolClass::kDataPlane);
-  EXPECT_FALSE(constantValue(arena, p).has_value());
+  EXPECT_TRUE(probeConstant(arena, p, 0).notConstant);
   // p || x == 3 is non-constant; (x <= 255) is constant true semantically
   // but folds structurally; use x < y || y <= x (valid, non-folding).
   ExprRef tauto = arena.bOr(arena.ult(x(), y()), arena.ule(y(), x()));
-  auto c = constantValue(arena, tauto);
-  ASSERT_TRUE(c.has_value());
-  EXPECT_TRUE(arena.isTrue(*c));
+  ConstantProbe c = probeConstant(arena, tauto, 0);
+  ASSERT_TRUE(c.constant);
+  EXPECT_TRUE(c.boolValue);
 }
 
 TEST_F(SmtTest, WideBitvectors) {
@@ -313,17 +313,27 @@ TEST_F(SmtTest, ProbeConstantRefutesNonConstants) {
   EXPECT_FALSE(q.constant);
 }
 
+// probeConstant against the constant value within x's whole 8-bit domain,
+// found by evaluating every assignment.
 TEST_F(SmtTest, ProbeConstantAgreesWithConstantValueWithin) {
   std::mt19937_64 rng(7);
   for (int i = 0; i < 30; ++i) {
     // Random mask/compare shapes over one variable: some constant, some not.
     ExprRef e = arena.bvAnd(arena.bvOr(x(), bv(8, rng() & 0xFF)),
                             bv(8, rng() & 0xFF));
+    expr::Evaluator ev(arena);
+    ev.bindVar(x(), BitVec(8, 0));
+    const BitVec first = ev.evaluateBv(e);
+    bool constant = true;
+    for (uint64_t v = 1; v < 256 && constant; ++v) {
+      ev.bindVar(x(), BitVec(8, v));
+      constant = ev.evaluateBv(e) == first;
+    }
     ConstantProbe p = probeConstant(arena, e, 0);
-    std::optional<expr::ExprRef> c = constantValueWithin(arena, e, 0);
-    EXPECT_EQ(p.constant, c.has_value()) << "i=" << i;
-    if (p.constant && c.has_value()) {
-      EXPECT_EQ(p.value, arena.constValue(*c)) << "i=" << i;
+    EXPECT_EQ(p.constant, constant) << "i=" << i;
+    EXPECT_EQ(p.notConstant, !constant) << "i=" << i;
+    if (p.constant) {
+      EXPECT_EQ(p.value, first) << "i=" << i;
     }
   }
 }

@@ -78,11 +78,6 @@
 //   --jobs N            specialize/fuzz/difftest/crashtest: run the
 //                       semantics-check probes of each specialization on N
 //                       threads (default 1; verdicts are identical at any N)
-//   --no-verdict-cache  disable the canonical-digest verdict cache (A/B
-//                       switch; verdicts are identical either way)
-//   --no-incremental-sat  probe with a fresh SAT solver per semantics check
-//                       instead of warm per-worker incremental sessions (A/B
-//                       switch; verdicts are identical either way)
 //   --kill-points K     crashtest: number of simulated-SIGKILL positions (20)
 //   --checkpoint-every C  crashtest/fleet: updates between checkpoints (16)
 //   --state-dir DIR     crashtest: journal/checkpoint directory (default: a
@@ -92,8 +87,6 @@
 //   --queue-cap Q       fleet: per-device work-queue capacity; updates
 //                       enqueued beyond it are dropped, never blocking the
 //                       rest of the fleet (default 0 = unbounded)
-//   --no-shared-cache   fleet: give every device a private verdict cache
-//                       instead of the fleet-wide shared one (A/B switch)
 //   --transport T       fleet/replay: inproc (direct calls, default) or
 //                       socket (per-device agents over the wire protocol);
 //                       the two produce byte-identical fleet digests
@@ -185,14 +178,11 @@ struct Options {
   std::string sabotage;
   std::string faultPlan;
   size_t jobs = 1;
-  bool verdictCache = true;
-  bool incrementalSat = true;
   size_t killPoints = 20;
   size_t checkpointEvery = 16;
   std::string stateDir;
   size_t devices = 4;
   size_t queueCap = 0;
-  bool sharedCache = true;
   bool tornTail = false;
   bool stats = false;
   bool statsJson = false;
@@ -221,10 +211,10 @@ int usage() {
       "             [--replay-updates i,j,k|none] [--packet-hex HEX] "
       "[--ingress-port P]\n"
       "             [--sabotage drop-entry] [--fault-plan P]\n"
-      "             [--jobs N] [--no-verdict-cache] [--no-incremental-sat]\n"
+      "             [--jobs N]\n"
       "             [--kill-points K] [--checkpoint-every C] "
       "[--state-dir DIR] [--torn-tail]\n"
-      "             [--devices N] [--queue-cap Q] [--no-shared-cache]\n"
+      "             [--devices N] [--queue-cap Q]\n"
       "             [--transport inproc|socket] [--listen PATH] "
       "[--connect PATH]\n"
       "             [--device NAME] [--spawn]\n"
@@ -304,8 +294,6 @@ ctrl::FaultPlan parseFaultPlan(const std::string& spec) {
 core::SpecializerOptions specializerOptions(const Options& opts) {
   core::SpecializerOptions sopts;
   sopts.jobs = opts.jobs;
-  sopts.useVerdictCache = opts.verdictCache;
-  sopts.incrementalSat = opts.incrementalSat;
   return sopts;
 }
 
@@ -602,10 +590,9 @@ int cmdFuzz(const p4::CheckedProgram& checked, const Options& opts) {
   }
 
   // Specialize the fuzzed state through the semantics-check engine so
-  // --jobs / --no-verdict-cache are exercised end-to-end. The verdict line
-  // is what cache-equivalence checks compare across settings: every number
-  // is a pure function of the fuzzed config, independent of thread count
-  // and cache state.
+  // --jobs is exercised end-to-end. The verdict line is what the verdict
+  // equivalence check compares across settings: every number is a pure
+  // function of the fuzzed config, independent of thread count.
   auto result =
       core::Specializer(service, specializerOptions(opts)).specialize();
   std::printf("  specialization verdicts: %zu changes, %zu solver queries, "
@@ -690,8 +677,8 @@ int cmdBulkload(const p4::CheckedProgram& checked, const Options& opts) {
   std::printf("  state digest: %s\n", service.stateDigest().c_str());
 
   // Specialize the bulk-loaded state through the semantics-check engine so
-  // --jobs / --no-verdict-cache drive the parallel probes over the loaded
-  // config (the TSan job runs bulkload with --jobs 4).
+  // --jobs drives the parallel probes over the loaded config (the TSan job
+  // runs bulkload with --jobs 4).
   auto result =
       core::Specializer(service, specializerOptions(opts)).specialize();
   std::printf("  specialization verdicts: %zu changes, %zu solver queries, "
@@ -710,8 +697,6 @@ int cmdIfc(const p4::CheckedProgram& checked, const Options& opts) {
   core::FlayService service(checked, foptions);
   core::CheckEngineOptions eopts;
   eopts.jobs = opts.jobs;
-  eopts.useVerdictCache = opts.verdictCache;
-  eopts.incrementalSat = opts.incrementalSat;
   service.checkEngine().configure(eopts);
   applyCannedConfig(service, opts.config);
 
@@ -819,8 +804,6 @@ int cmdDifftest(const p4::CheckedProgram& checked, const Options& opts) {
     core::FlayService side(checked, sideOptions);
     core::CheckEngineOptions eopts;
     eopts.jobs = opts.jobs;
-    eopts.useVerdictCache = opts.verdictCache;
-    eopts.incrementalSat = opts.incrementalSat;
     side.checkEngine().configure(eopts);
     auto engine = std::make_shared<ifc::IfcEngine>(
         side, loadPolicy(opts.ifcPolicyFile, checked));
@@ -989,7 +972,6 @@ int cmdFleet(const p4::CheckedProgram& checked, const Options& opts) {
   fopts.devices = opts.devices;
   fopts.jobs = opts.jobs;
   fopts.queueCapacity = opts.queueCap;
-  fopts.sharedVerdictCache = opts.sharedCache;
   fopts.stateDirRoot = opts.stateDir;
   if (!opts.faultPlan.empty()) fopts.faultPlan = parseFaultPlan(opts.faultPlan);
   fopts.controller.checkpointEvery = opts.checkpointEvery;
@@ -998,8 +980,6 @@ int cmdFleet(const p4::CheckedProgram& checked, const Options& opts) {
   // --jobs means fleet-level concurrency here; each device's own
   // semantics-check engine stays single-threaded so N draining devices
   // don't oversubscribe the machine N*jobs ways.
-  fopts.controller.specializer.useVerdictCache = opts.verdictCache;
-  fopts.controller.specializer.incrementalSat = opts.incrementalSat;
   fopts.controller.specializer.jobs = 1;
   fopts.deviceCompiler.searchIterations = opts.iterations;
   fopts.transport = opts.transport == "socket" ? fleet::Transport::kSocket
@@ -1016,9 +996,9 @@ int cmdFleet(const p4::CheckedProgram& checked, const Options& opts) {
   fc.drain();
   double drainSecs = drainTimer.elapsedSeconds();
   std::printf("fleet: %zu device(s), %zu update(s) broadcast, jobs=%zu, "
-              "shared-cache=%s, transport=%s\n",
+              "transport=%s\n",
               fc.deviceCount(), script.size(), opts.jobs,
-              opts.sharedCache ? "on" : "off", opts.transport.c_str());
+              opts.transport.c_str());
   uint64_t applied = 0, rejected = 0, dropped = 0;
   for (size_t i = 0; i < fc.deviceCount(); ++i) {
     fleet::DeviceStatus s = fc.status(i);
@@ -1350,10 +1330,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--jobs") {
       opts.jobs = parseNumber(value(&i, arg), "--jobs");
       if (opts.jobs == 0) argError("--jobs needs at least 1");
-    } else if (arg == "--no-verdict-cache") {
-      opts.verdictCache = false;
-    } else if (arg == "--no-incremental-sat") {
-      opts.incrementalSat = false;
     } else if (arg == "--kill-points") {
       opts.killPoints = parseNumber(value(&i, arg), "--kill-points");
     } else if (arg == "--checkpoint-every") {
@@ -1366,8 +1342,6 @@ int main(int argc, char** argv) {
       if (opts.devices == 0) argError("--devices needs at least 1");
     } else if (arg == "--queue-cap") {
       opts.queueCap = parseNumber(value(&i, arg), "--queue-cap");
-    } else if (arg == "--no-shared-cache") {
-      opts.sharedCache = false;
     } else if (arg == "--transport") {
       opts.transport = value(&i, arg);
       if (opts.transport != "inproc" && opts.transport != "socket") {
