@@ -1,16 +1,19 @@
 // Streaming bulk-load experiment: sustained update rate and per-chunk
-// verdict latency of FlayService::applyStream at 10k/100k/1M entries,
-// plus the parity contract that makes the classifier pre-filter's bypass
-// trustworthy — the bulk path must land digest-identical to a sequential
-// applyUpdate replay of the same stream (rejections skipped) on every
-// program, including the entries that bypassed analysis entirely.
+// verdict latency of FlayService::applyStream at 10k/100k/1M entries, plus
+// the parity contract of the chunked path — it must land digest-identical
+// to a sequential applyUpdate replay of the same stream (rejections
+// skipped) on every program.
 //
 // Usage: bench_bulk_load [count...]   (default: 10000 100000 1000000)
-// Sequential-replay parity at each scale count is only checked up to
-// kSeqParityCap entries: the per-update replay recomputes the touched
-// table's O(n) structural digest every insert, which is the quadratic
-// blowup the bulk path exists to avoid.
+// Sequential-replay parity at each scale count is checked up to
+// kSeqParityCap entries (the replay analyzes every update, so it is
+// linear but slower than the chunked path). When the counts span at least
+// 10x, the rate at the largest count must stay within 2x of the rate at
+// the smallest: the per-chunk analysis is O(actions + keys) per table
+// above the over-approximation threshold, so the rate must not decay with
+// the installed entry count.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -32,7 +35,9 @@ namespace obs = flay::obs;
 
 namespace {
 
-constexpr size_t kSeqParityCap = 20000;
+constexpr size_t kSeqParityCap = 100000;
+/// Scaling gate: rate at the largest count over the rate at the smallest.
+constexpr double kMinRateRatio = 0.5;
 
 double secondsSince(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -41,15 +46,14 @@ double secondsSince(std::chrono::steady_clock::time_point t0) {
 
 struct ParityResult {
   bool match = false;
-  uint64_t bypassed = 0;
   uint64_t rejected = 0;
   double bulkSecs = 0;
   double seqSecs = 0;
 };
 
 /// Applies `base` then runs `stream` through both paths on twin services:
-/// bulk (chunked, prefiltered) vs sequential applyUpdate with rejections
-/// skipped. The state digests must agree bit-for-bit.
+/// bulk (chunked) vs sequential applyUpdate with rejections skipped. The
+/// state digests must agree bit-for-bit.
 ParityResult checkParity(const p4::CheckedProgram& checked,
                          const std::vector<runtime::Update>& base,
                          const std::vector<runtime::Update>& stream,
@@ -67,7 +71,6 @@ ParityResult checkParity(const p4::CheckedProgram& checked,
   auto t0 = std::chrono::steady_clock::now();
   core::BulkLoadReport rep = bulkSvc.bulkLoad(stream, opts);
   r.bulkSecs = secondsSince(t0);
-  r.bypassed = rep.bypassed;
   r.rejected = rep.rejected;
 
   auto t1 = std::chrono::steady_clock::now();
@@ -134,11 +137,10 @@ int main(int argc, char** argv) {
     p4::CheckedProgram checked =
         p4::loadProgramFromFile(net::programPath(c.program));
     ParityResult r = checkParity(checked, c.base, c.stream, 128);
-    std::printf("  %-12s %zu updates: %s (bypassed %llu, rejected %llu, "
-                "bulk %.3fs vs seq %.3fs)\n",
+    std::printf("  %-12s %zu updates: %s (rejected %llu, bulk %.3fs vs seq "
+                "%.3fs)\n",
                 c.program, c.stream.size(),
                 r.match ? "digest match" : "DIGEST MISMATCH",
-                static_cast<unsigned long long>(r.bypassed),
                 static_cast<unsigned long long>(r.rejected), r.bulkSecs,
                 r.seqSecs);
     metrics.emplace_back(std::string("parity_") + c.program,
@@ -149,15 +151,13 @@ int main(int argc, char** argv) {
   // --- Scale phase: bulkroute streams -------------------------------------
   p4::CheckedProgram bulkroute =
       p4::loadProgramFromFile(net::programPath("bulkroute"));
-  obs::Counter& probeRebuilds =
-      obs::Registry::global().counter("flay.bulk_probe_rebuilds");
   std::printf("\nbulkroute streaming load (chunks of 4096):\n");
+  std::vector<std::pair<size_t, double>> rates;
   for (size_t count : counts) {
     core::FlayService svc(bulkroute);
     core::BulkLoadOptions opts;
     opts.chunkSize = 4096;
     obs::Histogram verdictLatency;
-    uint64_t rebuildsBefore = probeRebuilds.value();
     size_t next = 0;
     auto t0 = std::chrono::steady_clock::now();
     core::BulkLoadReport rep = svc.applyStream(
@@ -174,37 +174,16 @@ int main(int argc, char** argv) {
     unsigned long long p99 =
         static_cast<unsigned long long>(verdictLatency.quantile(0.99));
     std::printf("  %8zu entries: %9.0f updates/s, verdict p50=%lluus "
-                "p99=%lluus, bypassed %llu (%.1f%%), analyzed %llu, "
-                "rejected %llu\n",
+                "p99=%lluus, rejected %llu\n",
                 count, rate,
                 static_cast<unsigned long long>(verdictLatency.quantile(0.5)),
-                p99, static_cast<unsigned long long>(rep.bypassed),
-                rep.updates ? 100.0 * rep.bypassed / rep.updates : 0.0,
-                static_cast<unsigned long long>(rep.analyzed),
-                static_cast<unsigned long long>(rep.rejected));
-
-    // Regression gate: the point-probe is folded incrementally (every 64
-    // below-threshold inserts), never rebuilt per insert — a rebuild count
-    // approaching the update count is the O(N) classifier-build bug back.
-    uint64_t rebuilds = probeRebuilds.value() - rebuildsBefore;
-    uint64_t rebuildCap = count / 64 + 16;
-    if (rebuilds > rebuildCap) {
-      std::fprintf(stderr,
-                   "FAIL: %llu probe rebuilds for %zu updates (cap %llu) — "
-                   "probe is rebuilding per insert\n",
-                   static_cast<unsigned long long>(rebuilds), count,
-                   static_cast<unsigned long long>(rebuildCap));
-      ok = false;
-    }
+                p99, static_cast<unsigned long long>(rep.rejected));
+    rates.emplace_back(count, rate);
 
     std::string suffix = std::to_string(count);
-    metrics.emplace_back("probe_rebuilds_" + suffix,
-                         static_cast<double>(rebuilds));
     metrics.emplace_back("updates_per_sec_" + suffix, rate);
     metrics.emplace_back("p99_verdict_us_" + suffix,
                          static_cast<double>(p99));
-    metrics.emplace_back("bypassed_" + suffix,
-                         static_cast<double>(rep.bypassed));
     metrics.emplace_back("chunks_" + suffix, static_cast<double>(rep.chunks));
 
     if (count <= kSeqParityCap) {
@@ -223,9 +202,33 @@ int main(int argc, char** argv) {
     }
   }
 
+  // Scaling gate: a rate that decays with the installed entry count means
+  // some per-chunk step went back to scanning the whole table.
+  if (!rates.empty()) {
+    auto [lo, hi] = std::minmax_element(
+        rates.begin(), rates.end(),
+        [](const auto& a, const auto& b) { return a.first < b.first; });
+    if (hi->first >= 10 * lo->first) {
+      double ratio = lo->second > 0 ? hi->second / lo->second : 0.0;
+      bool scales = ratio >= kMinRateRatio;
+      std::printf("\nscaling: %.0f updates/s at %zu vs %.0f at %zu "
+                  "(%.2fx, gate >= %.2fx): %s\n",
+                  hi->second, hi->first, lo->second, lo->first, ratio,
+                  kMinRateRatio, scales ? "ok" : "FAIL");
+      metrics.emplace_back("rate_ratio_largest_to_smallest", ratio);
+      if (!scales) {
+        std::fprintf(stderr,
+                     "FAIL: bulk rate at %zu entries is %.2fx the rate at "
+                     "%zu (gate %.2fx)\n",
+                     hi->first, ratio, lo->first, kMinRateRatio);
+        ok = false;
+      }
+    }
+  }
+
   obs::writeBenchReport("bulk_load", metrics);
   if (!ok) {
-    std::fprintf(stderr, "FAIL: bulk path diverged from sequential replay\n");
+    std::fprintf(stderr, "FAIL: bulk load gate failed (see above)\n");
     return 1;
   }
   return 0;

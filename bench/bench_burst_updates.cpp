@@ -88,19 +88,14 @@ using flay::BitVec;
   }
 
   // Burst 3: the same route burst through the streaming bulk path on a
-  // fresh service — v4_t01 starts above the over-approximation threshold
-  // here (1000-entry burst, threshold 100), so the classifier pre-filter
-  // should bypass the tail of the stream.
+  // fresh service, analyzed once per chunk instead of once per batch.
   core::FlayService bulkService(checked);
   for (const auto& u : net::scionCommonConfig()) bulkService.applyUpdate(u);
   for (const auto& u : net::scionV4Config(4)) bulkService.applyUpdate(u);
-  obs::Counter& bypassCounter =
-      obs::Registry::global().counter("flay.bulk_bypass");
-  uint64_t bypassBefore = bypassCounter.value();
   auto t1 = std::chrono::steady_clock::now();
   core::BulkLoadOptions bulkOpts;
   bulkOpts.chunkSize = 256;
-  core::BulkLoadReport bulkRep = bulkService.bulkLoad(burst, bulkOpts);
+  bulkService.bulkLoad(burst, bulkOpts);
   auto bulkMs = std::chrono::duration_cast<std::chrono::microseconds>(
                     std::chrono::steady_clock::now() - t1)
                     .count() /
@@ -108,12 +103,6 @@ using flay::BitVec;
   std::printf("\nsame burst through the bulk path (chunks of %zu):\n",
               bulkOpts.chunkSize);
   std::printf("  wall time:                      %8.1f ms\n", bulkMs);
-  std::printf("  bypassed / analyzed:            %llu / %llu "
-              "(flay.bulk_bypass +%llu)\n",
-              static_cast<unsigned long long>(bulkRep.bypassed),
-              static_cast<unsigned long long>(bulkRep.analyzed),
-              static_cast<unsigned long long>(bypassCounter.value() -
-                                              bypassBefore));
 
   std::printf(
       "\nShape check: the route burst completes well under a second and\n"
@@ -130,8 +119,7 @@ using flay::BitVec;
        {"single_update_ms", v1.analysisTime.count() / 1000.0},
        {"v6_batch_analysis_ms", v6.analysisTime.count() / 1000.0},
        {"v6_batch_recompile", v6.needsRecompilation ? 1.0 : 0.0},
-       {"bulk_wall_ms", bulkMs},
-       {"bulk_bypassed", static_cast<double>(bulkRep.bypassed)}});
+       {"bulk_wall_ms", bulkMs}});
 
   // Regression gate for the config-apply outlier: with per-update samples
   // and O(1) duplicate detection, the burst tail must stay the same order

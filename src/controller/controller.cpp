@@ -312,19 +312,18 @@ BulkApplyResult FaultTolerantController::applyBulk(
         // The chunk is already applied in memory when this runs; the
         // journal records it as one committed group, so recovery replays
         // exactly the acknowledged chunks.
-        if (journal_ != nullptr && !chunk.applied.empty()) {
-          journal_->appendBegin(chunk.applied.size());
-          for (const auto& u : chunk.applied) journal_->appendUpdate(u);
+        if (journal_ != nullptr && !chunk.appliedUpdates.empty()) {
+          journal_->appendBegin(chunk.appliedUpdates.size());
+          for (const auto& u : chunk.appliedUpdates) journal_->appendUpdate(u);
           journal_->appendCommit();
         }
-        size_t installed = chunk.bypassed + chunk.analyzed;
-        committedUpdates_.fetch_add(installed, std::memory_order_relaxed);
-        sinceCheckpoint_ += installed;
-        cobs.applied.add(installed);
+        committedUpdates_.fetch_add(chunk.applied, std::memory_order_relaxed);
+        sinceCheckpoint_ += chunk.applied;
+        cobs.applied.add(chunk.applied);
         journalIfcViolations();
         if (device_ != nullptr) {
-          applied.insert(applied.end(), chunk.applied.begin(),
-                         chunk.applied.end());
+          applied.insert(applied.end(), chunk.appliedUpdates.begin(),
+                         chunk.appliedUpdates.end());
         }
       });
 
@@ -341,8 +340,8 @@ BulkApplyResult FaultTolerantController::applyBulk(
           fireEpoch(false, false, false, 0);
         }
       } else {
-        // Every applied update was semantics-preserving (bypassed or
-        // verified): the entries flow straight to the running program.
+        // Every applied update was verified semantics-preserving: the
+        // entries flow straight to the running program.
         result.deviceCurrent = true;
         cobs.forwarded.add(result.report.applied);
         deviceVisibleUpdates_.store(committedUpdates(),

@@ -128,7 +128,7 @@ class FaultTolerantController {
   ApplyResult apply(const runtime::Update& update);
   ApplyResult applyBatch(const std::vector<runtime::Update>& updates);
 
-  /// Streams a bulk load through the service's classifier-prefiltered path
+  /// Streams a bulk load through the service's chunked path
   /// (FlayService::applyStream), journaling each chunk as one committed
   /// transaction group and reconciling the device once at the end of the
   /// stream: a single recompile+install if any chunk's verdict demands it,

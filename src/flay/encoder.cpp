@@ -1,11 +1,38 @@
 #include "flay/encoder.h"
 
+#include <algorithm>
+
 namespace flay::flay {
 
 using expr::ExprRef;
 
 namespace {
 constexpr uint32_t kSelectorWidth = 8;
+}
+
+TableShape tableShape(const runtime::TableState& table,
+                      size_t overapproxThreshold) {
+  TableShape shape;
+  shape.empty = table.empty();
+  shape.defaultAction = table.defaultActionName();
+  shape.actions.push_back(table.defaultActionName());
+  if (table.size() > overapproxThreshold) {
+    const std::vector<size_t>& counts = table.actionCounts();
+    for (size_t slot = 0; slot < counts.size(); ++slot) {
+      if (counts[slot] > 0) shape.actions.push_back(table.actionSlotName(slot));
+    }
+  } else {
+    for (const runtime::TableEntry* e : table.normalizedEntries()) {
+      shape.actions.push_back(e->actionName);
+    }
+  }
+  std::sort(shape.actions.begin(), shape.actions.end());
+  shape.actions.erase(std::unique(shape.actions.begin(), shape.actions.end()),
+                      shape.actions.end());
+  for (size_t masked : table.maskedCounts()) {
+    shape.exactable.push_back(masked == 0);
+  }
+  return shape;
 }
 
 ExprRef ControlPlaneEncoder::entryCondition(

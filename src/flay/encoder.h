@@ -1,6 +1,7 @@
 #ifndef FLAY_FLAY_ENCODER_H
 #define FLAY_FLAY_ENCODER_H
 
+#include <string>
 #include <vector>
 
 #include "flay/symbolic_executor.h"
@@ -21,6 +22,32 @@ struct EncoderOptions {
   /// reached, we overapproximate").
   size_t overapproxThreshold = 100;
 };
+
+/// The properties of a table's runtime state that specialization decisions
+/// key on: the specializer prunes actions and tightens match kinds from it,
+/// and FlayService renders it as the table's recompile-level digest, so a
+/// change the specializer would act on is a change the digest sees.
+struct TableShape {
+  bool empty = true;
+  std::string defaultAction;
+  /// Actions that can execute, sorted and unique: the default action plus
+  /// the actions of the installed entries that can win a lookup.
+  std::vector<std::string> actions;
+  /// Per key: no installed entry is masked on it (vacuously true when empty).
+  std::vector<bool> exactable;
+};
+
+/// Derives a table's shape from TableState's counts, mirroring the encoder's
+/// two regimes (§4.1). Above `overapproxThreshold` the encoding leaves hit
+/// and action free, so every installed action counts as reachable — the
+/// counts alone, O(actions + keys). At or below it, the actions come from
+/// one normalizedEntries() call, so eclipsed entries' actions are pruned.
+/// Key exactness always comes from the masked-entry counts: an entry masked
+/// on a key can only be eclipsed by an entry masked on that key (a winner's
+/// mask must be a subset of the covered entry's), so the normalized entries
+/// are all exact-valued on a key exactly when the installed ones are.
+TableShape tableShape(const runtime::TableState& table,
+                      size_t overapproxThreshold);
 
 /// Translates runtime state (installed entries, value-set members, default
 /// actions) into control-plane assignments over the placeholders the

@@ -34,6 +34,10 @@ struct EngineObs {
   obs::Histogram& encodeUs = reg.histogram("flay.encode_us");
   obs::Histogram& digestUs = reg.histogram("flay.digest_us");
   obs::Histogram& substituteUs = reg.histogram("flay.substitute_us");
+  obs::Counter& bulkLoads = reg.counter("flay.bulk_loads");
+  obs::Counter& bulkChunks = reg.counter("flay.bulk_chunks");
+  obs::Counter& bulkRejected = reg.counter("flay.bulk_rejected");
+  obs::Histogram& bulkVerdictUs = reg.histogram("flay.bulk_verdict_us");
 
   static EngineObs& get() {
     static EngineObs instance;
@@ -234,46 +238,18 @@ std::string FlayService::pointDigest(expr::ExprRef specialized) const {
 }
 
 std::string FlayService::tableDigest(const std::string& qualified) const {
-  const runtime::TableState& table = config_->table(qualified);
-  std::string d = table.empty() ? "empty;" : "live;";
+  TableShape shape = tableShape(qualified);
+  std::string d = shape.empty ? "empty;" : "live;";
   // The default action by name, not just as a member of the action set: a
   // table whose hit specializes to false has its default's body inlined,
   // so a set-default to an action some entry already uses still changes
   // the specialized program.
-  d += table.defaultActionName() + ";";
-  // Above the over-approximation threshold, skip the O(n^2) eclipse
-  // normalization and digest the raw entries instead (a sound
-  // over-approximation of reachability, consistent with the encoder).
-  if (table.size() > options_.encoder.overapproxThreshold) {
-    std::set<std::string> actions;
-    for (const auto& e : table.entries()) actions.insert(e.actionName);
-    actions.insert(table.defaultActionName());
-    for (const auto& a : actions) d += a + ",";
-    for (size_t k = 0; k < table.decl().keys.size(); ++k) {
-      if (table.decl().keys[k].matchKind == p4::MatchKind::kExact) continue;
-      bool allExact = true;
-      for (const auto& e : table.entries()) {
-        allExact &= e.matches[k].isExactValued();
-      }
-      d += allExact ? ";exactable" : ";masked";
-    }
-    return d;
-  }
-  auto actions = table.reachableActions();
-  std::sort(actions.begin(), actions.end());
-  for (const auto& a : actions) d += a + ",";
-  auto normalized = table.normalizedEntries();
-  for (size_t k = 0; k < table.decl().keys.size(); ++k) {
-    if (table.decl().keys[k].matchKind == p4::MatchKind::kExact) continue;
-    // Vacuously exactable when empty — no entry forces a masked encoding —
-    // matching the over-approximation branch above, so the digest never
-    // takes a spurious "masked" detour on the empty -> first-entry
-    // transition of the Fig. 3 lifecycle.
-    bool allExact = true;
-    for (const runtime::TableEntry* e : normalized) {
-      allExact &= e->matches[k].isExactValued();
-    }
-    d += allExact ? ";exactable" : ";masked";
+  d += shape.defaultAction + ";";
+  for (const auto& a : shape.actions) d += a + ",";
+  const auto& keys = config_->table(qualified).decl().keys;
+  for (size_t k = 0; k < keys.size(); ++k) {
+    if (keys[k].matchKind == p4::MatchKind::kExact) continue;
+    d += shape.exactable[k] ? ";exactable" : ";masked";
   }
   return d;
 }
@@ -437,6 +413,75 @@ UpdateVerdict FlayService::applyBatch(
   }
   eobs.batchApplyUs.record(microsSince(batchStart));
   return analyzeObjects(objects);
+}
+
+BulkLoadReport FlayService::applyStream(const UpdateSource& source,
+                                        const BulkLoadOptions& options,
+                                        const BulkChunkCallback& cb) {
+  EngineObs& eobs = EngineObs::get();
+  eobs.bulkLoads.add(1);
+  const size_t chunkSize = std::max<size_t>(options.chunkSize, 1);
+  BulkLoadReport report;
+  bool exhausted = false;
+  while (!exhausted) {
+    BulkChunkVerdict chunk;
+    chunk.chunkIndex = report.chunks;
+    std::set<std::string> objects;
+    auto chunkStart = std::chrono::steady_clock::now();
+    while (chunk.updates < chunkSize) {
+      std::optional<runtime::Update> u = source();
+      if (!u) {
+        exhausted = true;
+        break;
+      }
+      ++chunk.updates;
+      auto applyStart = std::chrono::steady_clock::now();
+      try {
+        objects.insert(config_->apply(*u));
+      } catch (const std::invalid_argument&) {
+        // Same contract as a sequential replay that skips rejections:
+        // nothing changed, count and move on.
+        eobs.configApplyUs.record(microsSince(applyStart));
+        ++chunk.rejected;
+        eobs.bulkRejected.add(1);
+        continue;
+      }
+      eobs.configApplyUs.record(microsSince(applyStart));
+      eobs.updates.add(1);
+      ++chunk.applied;
+      if (options.collectApplied) {
+        chunk.appliedUpdates.push_back(std::move(*u));
+      }
+    }
+    if (chunk.updates == 0) break;
+    if (!objects.empty()) chunk.verdict = analyzeObjects(objects);
+    chunk.verdictLatencyUs = microsSince(chunkStart);
+    eobs.bulkVerdictUs.record(chunk.verdictLatencyUs);
+    eobs.bulkChunks.add(1);
+    report.updates += chunk.updates;
+    report.applied += chunk.applied;
+    report.rejected += chunk.rejected;
+    ++report.chunks;
+    report.expressionsChanged |= chunk.verdict.expressionsChanged;
+    report.needsRecompilation |= chunk.verdict.needsRecompilation;
+    report.overapproximated |= chunk.verdict.overapproximated;
+    report.changedComponents.insert(chunk.verdict.changedComponents.begin(),
+                                    chunk.verdict.changedComponents.end());
+    if (cb) cb(chunk);
+  }
+  return report;
+}
+
+BulkLoadReport FlayService::bulkLoad(const std::vector<runtime::Update>& updates,
+                                     const BulkLoadOptions& options,
+                                     const BulkChunkCallback& cb) {
+  size_t next = 0;
+  return applyStream(
+      [&]() -> std::optional<runtime::Update> {
+        if (next >= updates.size()) return std::nullopt;
+        return updates[next++];
+      },
+      options, cb);
 }
 
 ServiceSnapshot FlayService::snapshot() const {

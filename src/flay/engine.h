@@ -49,23 +49,17 @@ struct UpdateVerdict {
   bool overapproximated = false;
 };
 
-/// Tuning knobs for the streaming bulk-load path (see flay/bulk.h).
+/// Tuning knobs for the streaming bulk-load path (FlayService::applyStream).
 struct BulkLoadOptions {
   /// Updates pulled from the source per analysis chunk. The analysis (and
   /// the verdict streamed to the caller) is amortized over a chunk, and the
   /// loader's transient state is bounded by the chunk, so a million-entry
   /// stream never needs to be materialized.
   size_t chunkSize = 4096;
-  /// Pre-classify inserts against per-table key predicates derived from the
-  /// installed rule shape (src/classifier) and let provably
-  /// analysis-invisible entries — fresh keys landing in tables already past
-  /// the over-approximation threshold — bypass re-encoding and the
-  /// semantics checks entirely.
-  bool classifierPrefilter = true;
   /// Collect the successfully applied updates of each chunk into
-  /// BulkChunkVerdict::applied (for journaling / device forwarding). Off by
-  /// default: collection is the one per-chunk cost that scales with the
-  /// chunk contents.
+  /// BulkChunkVerdict::appliedUpdates (for journaling / device forwarding).
+  /// Off by default: collection is the one per-chunk cost that scales with
+  /// the chunk contents.
   bool collectApplied = false;
 };
 
@@ -73,24 +67,24 @@ struct BulkLoadOptions {
 struct BulkChunkVerdict {
   size_t chunkIndex = 0;
   size_t updates = 0;   ///< updates consumed from the source in this chunk
-  size_t bypassed = 0;  ///< pre-filtered as analysis-invisible
-  size_t analyzed = 0;  ///< routed through the incremental analysis
+  size_t applied = 0;   ///< installed into the config
   size_t rejected = 0;  ///< invalid for the current state; skipped
-  /// Analysis verdict over the chunk's non-bypassed updates.
+  /// Analysis verdict over the chunk's applied updates.
   UpdateVerdict verdict;
   /// First-update-pulled to verdict-ready latency for this chunk.
   uint64_t verdictLatencyUs = 0;
   /// Successfully applied updates (only with BulkLoadOptions::collectApplied).
-  std::vector<runtime::Update> applied;
+  std::vector<runtime::Update> appliedUpdates;
 };
 
 /// Aggregate outcome of one bulk load.
 struct BulkLoadReport {
-  uint64_t updates = 0;   ///< pulled from the source
-  uint64_t applied = 0;   ///< installed into the config (bypassed + analyzed)
-  uint64_t bypassed = 0;
-  uint64_t analyzed = 0;
+  uint64_t updates = 0;  ///< pulled from the source
+  uint64_t applied = 0;  ///< installed into the config
   uint64_t rejected = 0;
+  /// Always 0 (every applied update is analyzed); perfbench/main.cpp still
+  /// reads it.
+  uint64_t bypassed = 0;
   size_t chunks = 0;
   bool expressionsChanged = false;
   bool needsRecompilation = false;
@@ -152,15 +146,13 @@ class FlayService {
   UpdateVerdict applyBatch(const std::vector<runtime::Update>& updates);
 
   /// Streaming bulk load: pulls updates from `source` until exhausted,
-  /// applying them in chunks of options.chunkSize. Inserts that the
-  /// classifier pre-filter proves analysis-invisible bypass re-encoding and
-  /// semantics checks; the rest are analyzed once per chunk (taint closure
-  /// and substitution amortized over the chunk, not per update). Rejected
-  /// updates (std::invalid_argument) are counted and skipped — the same
-  /// contract as replaying the stream through applyUpdate() and skipping
-  /// rejections, to which this path is digest-identical. Memory stays
-  /// bounded by the chunk, and per-chunk verdicts stream out through `cb`.
-  /// Defined in flay/bulk.cpp.
+  /// applying them in chunks of options.chunkSize and analyzing each chunk
+  /// once (taint closure, re-encoding and substitution amortized over the
+  /// chunk, not paid per update). Rejected updates (std::invalid_argument)
+  /// are counted and skipped — the same contract as replaying the stream
+  /// through applyUpdate() and skipping rejections, to which this path is
+  /// digest-identical. Memory stays bounded by the chunk, and per-chunk
+  /// verdicts stream out through `cb`.
   BulkLoadReport applyStream(const UpdateSource& source,
                              const BulkLoadOptions& options = {},
                              const BulkChunkCallback& cb = {});
@@ -213,6 +205,13 @@ class FlayService {
   /// (over-approximated or never bound).
   expr::ExprRef resolveSymbol(expr::ExprRef symbolExpr) const;
 
+  /// The shape of a table's current state under this service's
+  /// over-approximation threshold (see flay::tableShape).
+  TableShape tableShape(const std::string& qualified) const {
+    return flay::tableShape(config_->table(qualified),
+                            options_.encoder.overapproxThreshold);
+  }
+
   /// Attaches a secondary analysis to the update hot path: it is notified
   /// after every analyzed round (and after restore()), so its products stay
   /// re-verified on the same incremental cadence as the constant verdicts.
@@ -229,10 +228,6 @@ class FlayService {
   std::chrono::microseconds preprocessTime() const { return preprocessTime_; }
 
  private:
-  /// The bulk loader drives config_ and analyzeObjects() directly so it can
-  /// interleave pre-filtered installs with chunked analysis.
-  friend class BulkLoader;
-
   /// Recomputes bindings for `objects` and re-specializes tainted points.
   UpdateVerdict analyzeObjects(const std::set<std::string>& objects);
   void notifyAnalyses(const UpdateVerdict& verdict) {
@@ -252,9 +247,7 @@ class FlayService {
   /// The specialization decision a point's expression currently supports:
   /// "" for unknown/non-constant, else a rendering of the constant.
   std::string pointDigest(expr::ExprRef specialized) const;
-  /// Structural digest of a table's runtime state: default action, reachable
-  /// actions, per-key exactness, emptiness — the properties the specializer
-  /// keys on.
+  /// Rendering of tableShape(): the recompile-level digest of a table.
   std::string tableDigest(const std::string& qualified) const;
 
   const p4::CheckedProgram& checked_;

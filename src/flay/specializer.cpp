@@ -1,5 +1,6 @@
 #include "flay/specializer.h"
 
+#include <algorithm>
 #include <unordered_map>
 
 #include "expr/analysis.h"
@@ -322,13 +323,14 @@ class Specializer::Impl {
       const runtime::TableState& state = service_.config().table(qualified);
 
       // Unused-action removal (Fig. 3 C/D: the unused drop action is
-      // removed from the table, freeing computation units).
-      auto reachable = state.reachableActions();
+      // removed from the table, freeing computation units). The shape is
+      // the one the table digest renders, so an action pruned here comes
+      // back only through a digest change, i.e. a recompile.
+      TableShape shape = service_.tableShape(qualified);
       std::vector<std::string> keptActions;
       for (const auto& name : table.actionNames) {
-        bool used = false;
-        for (const auto& r : reachable) used |= r == name;
-        if (used) {
+        if (std::binary_search(shape.actions.begin(), shape.actions.end(),
+                               name)) {
           keptActions.push_back(name);
         } else {
           ++stats_.removedActions;
@@ -350,15 +352,10 @@ class Specializer::Impl {
 
       // Match-kind tightening (Fig. 3 B: a ternary key whose entries all
       // carry full masks is effectively exact; frees TCAM).
-      auto normalized = state.normalizedEntries();
-      if (!normalized.empty()) {
+      if (!shape.empty) {
         for (size_t k = 0; k < table.keys.size(); ++k) {
           if (table.keys[k].matchKind == p4::MatchKind::kExact) continue;
-          bool allExact = true;
-          for (const runtime::TableEntry* e : normalized) {
-            allExact &= e->matches[k].isExactValued();
-          }
-          if (allExact) {
+          if (shape.exactable[k]) {
             table.keys[k].matchKind = p4::MatchKind::kExact;
             ++stats_.convertedKeys;
           }

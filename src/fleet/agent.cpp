@@ -118,7 +118,6 @@ bool AgentEndpoint::handleBulk(const wire::Frame& f) {
 
   flay::BulkLoadOptions opts;
   if (chunk.chunkSize > 0) opts.chunkSize = chunk.chunkSize;
-  opts.classifierPrefilter = chunk.classifierPrefilter;
   controller::BulkApplyResult r = ctl_.applyBulk(updates, opts);
   ++stats_.bulkLoads;
   stats_.applied += r.report.applied;
@@ -127,7 +126,6 @@ bool AgentEndpoint::handleBulk(const wire::Frame& f) {
 
   wire::BulkReply reply;
   reply.applied = r.report.applied;
-  reply.bypassed = r.report.bypassed;
   reply.rejected = r.report.rejected;
   reply.retries = r.retries;
   reply.degraded = r.degraded;
@@ -527,7 +525,7 @@ void AgentLink::checkpoint() {
 }
 
 wire::BulkReply AgentLink::bulk(const std::vector<std::string>& texts,
-                                uint64_t chunkSize, bool classifierPrefilter) {
+                                uint64_t chunkSize) {
   if (!alive()) {
     throw wire::WireError(label_ + ": link is dead (" + deathReason_ + ")");
   }
@@ -541,7 +539,6 @@ wire::BulkReply AgentLink::bulk(const std::vector<std::string>& texts,
   while (!sentLast) {
     wire::BulkChunk chunk;
     chunk.chunkSize = chunkSize;
-    chunk.classifierPrefilter = classifierPrefilter;
     size_t bytes = 0;
     while (i < texts.size() && chunk.updates.size() < kMaxChunkUpdates &&
            bytes < kMaxChunkBytes) {

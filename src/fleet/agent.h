@@ -120,7 +120,7 @@ class AgentLink {
   wire::RecoverReply recover();
   void checkpoint();
   wire::BulkReply bulk(const std::vector<std::string>& texts,
-                       uint64_t chunkSize, bool classifierPrefilter);
+                       uint64_t chunkSize);
 
   /// Best-effort clean shutdown (kBye / kByeAck); always closes.
   void bye();

@@ -265,22 +265,19 @@ FleetController::BulkBroadcastResult FleetController::broadcastBulk(
     }
     tasks.push_back([&, this, texts] {
       try {
-        uint64_t applied = 0, bypassed = 0, rejected = 0, retries = 0;
+        uint64_t applied = 0, rejected = 0, retries = 0;
         bool degraded = false;
         if (options_.transport == Transport::kSocket && m.link != nullptr &&
             m.link->alive()) {
           std::lock_guard<std::mutex> lock(m.wireMu);
-          wire::BulkReply r = m.link->bulk(*texts, options.chunkSize,
-                                           options.classifierPrefilter);
+          wire::BulkReply r = m.link->bulk(*texts, options.chunkSize);
           applied = r.applied;
-          bypassed = r.bypassed;
           rejected = r.rejected;
           retries = r.retries;
           degraded = r.degraded;
         } else {
           controller::BulkApplyResult r = m.ctl->applyBulk(updates, options);
           applied = r.report.applied;
-          bypassed = r.report.bypassed;
           rejected = r.report.rejected;
           retries = r.retries;
           degraded = r.degraded;
@@ -296,7 +293,6 @@ FleetController::BulkBroadcastResult FleetController::broadcastBulk(
         std::lock_guard<std::mutex> lock(rmu);
         ++result.devices;
         result.applied += applied;
-        result.bypassed += bypassed;
         result.rejected += rejected;
       } catch (const std::exception&) {
         // Same quarantine contract as drainMember: the device's state is

@@ -151,12 +151,11 @@ class FleetController {
   struct BulkBroadcastResult {
     size_t devices = 0;  ///< devices that completed the stream
     uint64_t applied = 0;
-    uint64_t bypassed = 0;
     uint64_t rejected = 0;
   };
 
-  /// Streams one bulk load (controller::applyBulk, i.e. the classifier-
-  /// prefiltered chunked path) to every live device, concurrently over the
+  /// Streams one bulk load (controller::applyBulk, i.e. the chunked
+  /// FlayService::applyStream path) to every live device, concurrently over the
   /// shared pool. Devices receive identical streams, so equal fleet digests
   /// before imply equal fleet digests after. Bypasses the per-update queues:
   /// do not interleave with a concurrent drain(). A device whose stream

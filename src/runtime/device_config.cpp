@@ -582,12 +582,6 @@ std::string DeviceConfig::apply(const Update& update) {
   return update.target;
 }
 
-void DeviceConfig::reserveTable(const std::string& qualifiedName,
-                                size_t total) {
-  TableState& t = table(qualifiedName);
-  t.reserve(std::min<size_t>(total, t.decl().size));
-}
-
 void DeviceConfig::applyChecked(const Update& update) {
   switch (update.kind) {
     case Update::Kind::kInsert:

@@ -146,11 +146,6 @@ class DeviceConfig {
   /// Throws std::invalid_argument on malformed updates.
   std::string apply(const Update& update);
 
-  /// Pre-sizes a table's entry storage and indexes for `total` entries, so a
-  /// bulk load pays no mid-stream reallocation or rehash. Capped at the
-  /// table's declared capacity; throws if the table does not exist.
-  void reserveTable(const std::string& qualifiedName, size_t total);
-
   const p4::CheckedProgram& checkedProgram() const { return *checked_; }
 
  private:

@@ -7,7 +7,10 @@ namespace flay::runtime {
 
 TableState::TableState(const p4::ControlDecl& control,
                        const p4::TableDecl& decl)
-    : control_(&control), decl_(&decl) {
+    : control_(&control),
+      decl_(&decl),
+      actionCounts_(decl.actionNames.size() + 2, 0),
+      maskedCounts_(decl.keys.size(), 0) {
   defaultActionName_ = decl.defaultAction.name;
   for (const auto& arg : decl.defaultAction.args) {
     defaultActionArgs_.push_back(arg->value);
@@ -87,9 +90,28 @@ std::string TableState::matchSignature(const TableEntry& e) const {
   return sig;
 }
 
-void TableState::indexEntry(const TableEntry& e, size_t index) {
-  if (++sigCount_[matchSignature(e)] >= 2) ++duplicateEntries_;
-  idToIndex_[e.id] = index;
+size_t TableState::actionSlot(const std::string& actionName) const {
+  const auto& names = decl_->actionNames;
+  for (size_t i = 0; i < names.size(); ++i) {
+    if (names[i] == actionName) return i;
+  }
+  // validate() admits only declared actions and the two builtins.
+  return names.size() + (actionName == "noop" ? 0 : 1);
+}
+
+const std::string& TableState::actionSlotName(size_t slot) const {
+  static const std::string kBuiltins[] = {"noop", "NoAction"};
+  const auto& names = decl_->actionNames;
+  return slot < names.size() ? names[slot] : kBuiltins[slot - names.size()];
+}
+
+void TableState::countEntry(const TableEntry& e, bool installed) {
+  size_t& actions = actionCounts_[actionSlot(e.actionName)];
+  installed ? ++actions : --actions;
+  for (size_t k = 0; k < e.matches.size(); ++k) {
+    if (e.matches[k].isExactValued()) continue;
+    installed ? ++maskedCounts_[k] : --maskedCounts_[k];
+  }
 }
 
 void TableState::reindexFrom(size_t from) {
@@ -112,6 +134,7 @@ uint64_t TableState::insert(TableEntry entry) {
   }
   entry.id = nextId_++;
   ++sigCount_[std::move(sig)];
+  countEntry(entry, true);
   idToIndex_[entry.id] = entries_.size();
   entries_.push_back(std::move(entry));
   return entries_.back().id;
@@ -139,6 +162,7 @@ void TableState::restoreEntry(TableEntry entry) {
   }
   if (entry.id >= nextId_) nextId_ = entry.id + 1;
   ++sigCount_[std::move(sig)];
+  countEntry(entry, true);
   idToIndex_[entry.id] = entries_.size();
   entries_.push_back(std::move(entry));
 }
@@ -157,6 +181,8 @@ void TableState::modify(TableEntry entry) {
     if (--sit->second == 0) sigCount_.erase(sit);
   }
   if (++sigCount_[matchSignature(entry)] >= 2) ++duplicateEntries_;
+  countEntry(e, false);
+  countEntry(entry, true);
   e = std::move(entry);
 }
 
@@ -172,6 +198,7 @@ void TableState::remove(uint64_t id) {
     if (sit->second >= 2) --duplicateEntries_;
     if (--sit->second == 0) sigCount_.erase(sit);
   }
+  countEntry(entries_[index], false);
   idToIndex_.erase(it);
   entries_.erase(entries_.begin() + static_cast<ptrdiff_t>(index));
   reindexFrom(index);
@@ -182,12 +209,8 @@ void TableState::clear() {
   sigCount_.clear();
   idToIndex_.clear();
   duplicateEntries_ = 0;
-}
-
-void TableState::reserve(size_t n) {
-  entries_.reserve(n);
-  sigCount_.reserve(n);
-  idToIndex_.reserve(n);
+  std::fill(actionCounts_.begin(), actionCounts_.end(), 0);
+  std::fill(maskedCounts_.begin(), maskedCounts_.end(), 0);
 }
 
 void TableState::setDefaultAction(std::string actionName,
@@ -265,18 +288,6 @@ const TableEntry* TableState::lookup(const std::vector<BitVec>& key) const {
     if (best == nullptr || precedes(e, *best)) best = &e;
   }
   return best;
-}
-
-std::vector<std::string> TableState::reachableActions() const {
-  std::vector<std::string> result;
-  auto add = [&result](const std::string& name) {
-    if (std::find(result.begin(), result.end(), name) == result.end()) {
-      result.push_back(name);
-    }
-  };
-  for (const TableEntry* e : normalizedEntries()) add(e->actionName);
-  add(defaultActionName_);
-  return result;
 }
 
 }  // namespace flay::runtime

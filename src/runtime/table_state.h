@@ -42,10 +42,6 @@ class TableState {
   void remove(uint64_t id);
   void clear();
 
-  /// Pre-sizes the entry storage and the duplicate/id indexes for `n` total
-  /// entries, so a bulk load pays no mid-stream reallocation or rehash.
-  void reserve(size_t n);
-
   /// Overrides the default action; pass the declaration default to reset.
   void setDefaultAction(std::string actionName, std::vector<BitVec> args);
   const std::string& defaultActionName() const { return defaultActionName_; }
@@ -69,10 +65,13 @@ class TableState {
   /// (default action applies).
   const TableEntry* lookup(const std::vector<BitVec>& key) const;
 
-  /// The set of action names that can actually execute given the current
-  /// entries (installed actions plus the default action). Drives the
-  /// unused-action removal specialization of Fig. 3.
-  std::vector<std::string> reachableActions() const;
+  /// Installed entries per action, kept current by every mutation. Slots
+  /// follow the declared action list, then the builtins noop and NoAction;
+  /// actionSlotName() names a slot.
+  const std::vector<size_t>& actionCounts() const { return actionCounts_; }
+  const std::string& actionSlotName(size_t slot) const;
+  /// Per key: installed entries whose match on that key is not exact-valued.
+  const std::vector<size_t>& maskedCounts() const { return maskedCounts_; }
 
  private:
   void validate(const TableEntry& entry) const;
@@ -81,7 +80,9 @@ class TableState {
   /// Canonical key of an entry's match set + priority — equal signatures iff
   /// the duplicate predicate (sameMatchSet && equal priority) holds.
   std::string matchSignature(const TableEntry& e) const;
-  void indexEntry(const TableEntry& e, size_t index);
+  size_t actionSlot(const std::string& actionName) const;
+  /// Adds (installed) or removes one entry's share of the two counts.
+  void countEntry(const TableEntry& e, bool installed);
   /// Rebuilds idToIndex_ for entries_[from..] after an erase shifted them.
   void reindexFrom(size_t from);
 
@@ -95,6 +96,9 @@ class TableState {
   std::unordered_map<std::string, uint32_t> sigCount_;
   /// Entry id -> position in entries_, for O(1) modify/remove/restore.
   std::unordered_map<uint64_t, size_t> idToIndex_;
+  /// Sized once by the constructor, so a mutation allocates nothing.
+  std::vector<size_t> actionCounts_;
+  std::vector<size_t> maskedCounts_;
   std::string defaultActionName_;
   std::vector<BitVec> defaultActionArgs_;
   bool hasTernary_ = false;

@@ -313,7 +313,6 @@ ErrorMsg decodeErrorMsg(const std::vector<uint8_t>& p) {
 std::vector<uint8_t> encode(const BulkChunk& m) {
   Writer w;
   w.u64(m.chunkSize);
-  w.u8(m.classifierPrefilter ? 1 : 0);
   w.u8(m.last ? 1 : 0);
   w.u32(static_cast<uint32_t>(m.updates.size()));
   for (const auto& u : m.updates) w.str(u);
@@ -324,7 +323,6 @@ BulkChunk decodeBulkChunk(const std::vector<uint8_t>& p) {
   Reader r(p);
   BulkChunk m;
   m.chunkSize = r.u64();
-  m.classifierPrefilter = r.u8() != 0;
   m.last = r.u8() != 0;
   uint32_t n = r.u32();
   if (static_cast<uint64_t>(n) * 4 > p.size()) {
@@ -340,7 +338,6 @@ BulkChunk decodeBulkChunk(const std::vector<uint8_t>& p) {
 std::vector<uint8_t> encode(const BulkReply& m) {
   Writer w;
   w.u64(m.applied);
-  w.u64(m.bypassed);
   w.u64(m.rejected);
   w.u64(m.retries);
   w.u8(m.degraded ? 1 : 0);
@@ -351,7 +348,6 @@ BulkReply decodeBulkReply(const std::vector<uint8_t>& p) {
   Reader r(p);
   BulkReply m;
   m.applied = r.u64();
-  m.bypassed = r.u64();
   m.rejected = r.u64();
   m.retries = r.u64();
   m.degraded = r.u8() != 0;

@@ -30,13 +30,13 @@
 namespace flay::wire {
 
 constexpr uint32_t kMagic = 0x464C4159;  // "FLAY"
-constexpr uint16_t kVersion = 1;
+constexpr uint16_t kVersion = 2;
 constexpr size_t kHeaderSize = 16;
 /// Hard cap on one frame's payload; a length prefix beyond it is a protocol
 /// error, never an allocation. Bulk streams chunk well below this.
 constexpr uint32_t kMaxPayload = 8u << 20;
 
-/// Frame types of wire protocol version 1. The agent speaks first (kHello);
+/// Frame types of wire protocol version 2. The agent speaks first (kHello);
 /// every daemon->agent request has exactly one reply type.
 enum class FrameType : uint16_t {
   kHello = 1,          ///< agent -> daemon: name, program fingerprint, seed
@@ -52,8 +52,8 @@ enum class FrameType : uint16_t {
   kError = 11,  ///< either direction: explicit, fatal protocol error
   kBye = 12,    ///< daemon -> agent: clean shutdown
   kByeAck = 13,
-  kBulk = 14,  ///< daemon -> agent: one bulk-load stream chunk (classifier-
-               ///< prefiltered applyBulk path); `last` triggers the load
+  kBulk = 14,  ///< daemon -> agent: one bulk-load stream chunk (applyBulk
+               ///< path); `last` triggers the load
   kBulkReply = 15,
 };
 
@@ -201,18 +201,16 @@ struct ErrorMsg {
   std::string detail;
 };
 
-/// One chunk of a bulk-load stream; the agent buffers chunks and runs the
-/// classifier-prefiltered applyBulk when `last` is set.
+/// One chunk of a bulk-load stream; the agent buffers chunks and runs
+/// applyBulk when `last` is set.
 struct BulkChunk {
   uint64_t chunkSize = 0;  ///< BulkLoadOptions.chunkSize (from the first chunk)
-  bool classifierPrefilter = true;
   bool last = false;
   std::vector<std::string> updates;
 };
 
 struct BulkReply {
   uint64_t applied = 0;
-  uint64_t bypassed = 0;
   uint64_t rejected = 0;
   uint64_t retries = 0;
   bool degraded = false;

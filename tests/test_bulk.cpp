@@ -1,6 +1,7 @@
-// Streaming bulk-load path (flay/bulk.h): classifier pre-filter soundness,
-// chunk report consistency, rejection handling, and the batch-abort counter
-// contract on the sequential applyBatch path it scales up from.
+// Streaming bulk-load path (FlayService::applyStream): digest parity with a
+// sequential replay, chunk report consistency, rejection handling, and the
+// batch-abort counter contract on the sequential applyBatch path it scales
+// up from.
 
 #include <gtest/gtest.h>
 
@@ -117,8 +118,8 @@ TEST(BulkParity, ScionRouteBurstDigestMatchesSequential) {
   opts.chunkSize = 64;
   auto rep = svc.bulkLoad(stream, opts);
   // The burst drives v4_t01 well past the over-approximation threshold, so
-  // the classifier pre-filter must be doing real work here.
-  EXPECT_GT(rep.bypassed, 0u);
+  // most chunks digest the table from its counts alone.
+  EXPECT_TRUE(rep.overapproximated);
   EXPECT_EQ(rep.rejected, 0u);
   EXPECT_EQ(svc.stateDigest(), sequentialDigest(checked, stream));
 }
@@ -136,7 +137,7 @@ TEST(BulkParity, DashFlowTableDigestMatchesSequential) {
   core::BulkLoadOptions opts;
   opts.chunkSize = 64;
   auto rep = svc.bulkLoad(stream, opts);
-  EXPECT_GT(rep.bypassed, 0u);
+  EXPECT_EQ(rep.applied, stream.size());
   EXPECT_EQ(svc.stateDigest(), sequentialDigest(checked, stream));
 }
 
@@ -147,21 +148,13 @@ TEST(BulkParity, MiddleblockAclDigestMatchesSequential) {
   core::BulkLoadOptions opts;
   opts.chunkSize = 64;
   auto rep = svc.bulkLoad(stream, opts);
-  EXPECT_GT(rep.bypassed, 0u);
+  EXPECT_EQ(rep.applied, stream.size());
   EXPECT_EQ(svc.stateDigest(), sequentialDigest(checked, stream));
-}
-
-TEST(BulkParity, PrefilterDisabledStillMatchesAndAnalyzesEverything) {
-  auto checked = load("middleblock");
-  auto stream = net::middleblockAclEntries(150);
-  core::FlayService svc(checked);
-  core::BulkLoadOptions opts;
+  // Chunks of 32 put the threshold crossing inside a different chunk.
+  core::FlayService small(checked);
   opts.chunkSize = 32;
-  opts.classifierPrefilter = false;
-  auto rep = svc.bulkLoad(stream, opts);
-  EXPECT_EQ(rep.bypassed, 0u);
-  EXPECT_EQ(rep.analyzed, 150u);
-  EXPECT_EQ(svc.stateDigest(), sequentialDigest(checked, stream));
+  small.bulkLoad(stream, opts);
+  EXPECT_EQ(small.stateDigest(), svc.stateDigest());
 }
 
 TEST(BulkParity, NonInsertUpdatesInvalidateFilterAndStayConsistent) {
@@ -170,7 +163,7 @@ TEST(BulkParity, NonInsertUpdatesInvalidateFilterAndStayConsistent) {
   for (const auto& u : net::scionV4Config(4)) stream.push_back(u);
   auto burst = net::scionV4RouteBurst(150);
   // Inserts past the threshold, then a default-action flip on the same
-  // table (analysis-visible, invalidates the filter), then more inserts.
+  // table (a shape change inside a chunk), then more inserts.
   for (size_t i = 0; i < 120; ++i) stream.push_back(burst[i]);
   stream.push_back(
       Update::setDefault("ScionIngress.v4_t01", "v4_hop", {BitVec(16, 9)}));
@@ -199,86 +192,48 @@ TEST(BulkParity, DuplicateInsertsAreRejectedLikeSequentialReplay) {
   EXPECT_EQ(svc.stateDigest(), sequentialDigest(checked, stream));
 }
 
-// --- probe-based bypass in the precise (below-threshold) regime ------------
+// --- eclipsed entries at and past the threshold ---------------------------
 
-TEST(BulkPrefilter, EclipsedExactEntryBypassesViaProbe) {
-  auto checked = load("middleblock");
-  // A wide high-priority rule, then a fully exact-valued entry whose single
-  // match point it covers with higher priority: the new entry can never
-  // join the normalized set, so the probe proves the insert invisible.
-  std::vector<Update> stream;
-  stream.push_back(Update::insert(
-      "MbIngress.acl_pre_ingress",
-      aclEntry(0x0A000000u, 0xFF000000u, 0xC0A80000u, 0xFFFF0000u, 100)));
-  TableEntry eclipsed =
-      aclEntry(0x0A010203u, 0xFFFFFFFFu, 0xC0A80101u, 0xFFFFFFFFu, 5);
-  stream.push_back(Update::insert("MbIngress.acl_pre_ingress", eclipsed));
-
-  obs::Counter& probeHits =
-      obs::Registry::global().counter("flay.bulk_probe_hits");
-  uint64_t hitsBefore = probeHits.value();
-  core::FlayService svc(checked);
-  core::BulkLoadOptions opts;
-  auto rep = svc.bulkLoad(stream, opts);
-  EXPECT_EQ(rep.bypassed, 1u);
-  EXPECT_EQ(rep.analyzed, 1u);
-  EXPECT_GT(probeHits.value(), hitsBefore);
-  EXPECT_EQ(svc.stateDigest(), sequentialDigest(checked, stream));
-}
-
-// The point-probe is maintained incrementally: a stream of N below-threshold
-// inserts folds fresh rules into the probe every 64 inserts instead of
-// rebuilding per insert, so the classifier-build count is O(N/64) — the
-// regression this pins down was an O(N) rebuild-per-insert in the precise
-// regime. Bypass decisions (and therefore the digest) are unchanged.
-TEST(BulkPrefilter, ProbeFoldsIncrementallyNotPerInsert) {
-  auto checked = load("middleblock");
-  constexpr size_t kInserts = 400;
-  std::vector<Update> stream;
-  // One wide, high-priority cover rule...
-  stream.push_back(Update::insert(
-      "MbIngress.acl_pre_ingress",
-      aclEntry(0x0A000000u, 0xFF000000u, 0xC0A80000u, 0xFFFF0000u, 1000)));
-  // ...then N distinct exact-valued entries it eclipses: all bypassed, all
-  // appended to the probe's rule set.
-  for (size_t i = 0; i < kInserts; ++i) {
-    stream.push_back(Update::insert(
-        "MbIngress.acl_pre_ingress",
-        aclEntry(0x0A000000u + static_cast<uint32_t>(i), 0xFFFFFFFFu,
-                 0xC0A80101u, 0xFFFFFFFFu, 5)));
-  }
-
-  obs::Counter& rebuilds =
-      obs::Registry::global().counter("flay.bulk_probe_rebuilds");
-  uint64_t before = rebuilds.value();
-  core::FlayService svc(checked);
-  auto rep = svc.bulkLoad(stream, {});
-  // A threshold-crossing insert legitimately routes to analysis once; every
-  // other eclipsed insert must bypass.
-  EXPECT_GE(rep.bypassed, kInserts - 1);
-  uint64_t built = rebuilds.value() - before;
-  // N/64 delta folds plus a small constant for initial builds; a rebuild-
-  // per-insert regression would be ~400 here.
-  EXPECT_LE(built, kInserts / 64 + 4) << "probe rebuilt per insert";
-  EXPECT_EQ(svc.stateDigest(), sequentialDigest(checked, stream));
-}
-
+// A wide high-priority rule, an exact entry it eclipses, and one outside its
+// cover, then enough eclipsed entries to cross the over-approximation
+// threshold: below it the shape drops the eclipsed entries' actions, above
+// it the counts keep every installed action. Whatever the chunking, the
+// bulk path must land where a sequential replay does.
 TEST(BulkPrefilter, UncoveredExactEntryIsAnalyzed) {
   auto checked = load("middleblock");
   std::vector<Update> stream;
   stream.push_back(Update::insert(
       "MbIngress.acl_pre_ingress",
       aclEntry(0x0A000000u, 0xFF000000u, 0xC0A80000u, 0xFFFF0000u, 100)));
-  // Same shape but outside the wide rule's source cover: must be analyzed.
+  // Same shape but outside the wide rule's source cover.
   stream.push_back(Update::insert(
       "MbIngress.acl_pre_ingress",
       aclEntry(0x0B010203u, 0xFFFFFFFFu, 0xC0A80101u, 0xFFFFFFFFu, 5)));
+  {
+    core::FlayService svc(checked);
+    auto rep = svc.bulkLoad(stream, {});
+    EXPECT_EQ(rep.applied, 2u);
+    EXPECT_EQ(svc.stateDigest(), sequentialDigest(checked, stream));
+  }
 
-  core::FlayService svc(checked);
-  auto rep = svc.bulkLoad(stream, {});
-  EXPECT_EQ(rep.bypassed, 0u);
-  EXPECT_EQ(rep.analyzed, 2u);
-  EXPECT_EQ(svc.stateDigest(), sequentialDigest(checked, stream));
+  // Fully exact-valued, inside the wide rule's cover at lower priority.
+  stream.push_back(Update::insert(
+      "MbIngress.acl_pre_ingress",
+      aclEntry(0x0A010203u, 0xFFFFFFFFu, 0xC0A80101u, 0xFFFFFFFFu, 5)));
+  for (uint32_t i = 0; i < 400; ++i) {
+    stream.push_back(Update::insert(
+        "MbIngress.acl_pre_ingress",
+        aclEntry(0x0A000000u + i, 0xFFFFFFFFu, 0xC0A80101u, 0xFFFFFFFFu, 5)));
+  }
+  std::string want = sequentialDigest(checked, stream);
+  for (size_t chunkSize : {size_t{1}, size_t{64}, size_t{4096}}) {
+    core::FlayService svc(checked);
+    core::BulkLoadOptions opts;
+    opts.chunkSize = chunkSize;
+    auto rep = svc.bulkLoad(stream, opts);
+    EXPECT_EQ(rep.applied, stream.size()) << "chunks of " << chunkSize;
+    EXPECT_EQ(svc.stateDigest(), want) << "chunks of " << chunkSize;
+  }
 }
 
 // --- chunk report consistency ----------------------------------------------
@@ -292,22 +247,22 @@ TEST(BulkChunks, CallbackTotalsMatchReportAndStreamOrder) {
   core::BulkLoadOptions opts;
   opts.chunkSize = 32;
   opts.collectApplied = true;
-  size_t updates = 0, bypassed = 0, analyzed = 0, rejected = 0;
+  size_t updates = 0, applied = 0, rejected = 0;
   std::vector<Update> collected;
   size_t lastChunkIndex = 0;
   auto rep = svc.bulkLoad(stream, opts, [&](const core::BulkChunkVerdict& c) {
     EXPECT_LE(c.updates, opts.chunkSize);
     EXPECT_EQ(c.chunkIndex, lastChunkIndex++);
+    EXPECT_EQ(c.applied + c.rejected, c.updates);
+    EXPECT_EQ(c.appliedUpdates.size(), c.applied);
     updates += c.updates;
-    bypassed += c.bypassed;
-    analyzed += c.analyzed;
+    applied += c.applied;
     rejected += c.rejected;
-    for (const auto& u : c.applied) collected.push_back(u);
+    for (const auto& u : c.appliedUpdates) collected.push_back(u);
   });
   EXPECT_EQ(rep.updates, stream.size());
   EXPECT_EQ(updates, rep.updates);
-  EXPECT_EQ(bypassed, rep.bypassed);
-  EXPECT_EQ(analyzed, rep.analyzed);
+  EXPECT_EQ(applied, rep.applied);
   EXPECT_EQ(rejected, rep.rejected);
   EXPECT_EQ(rep.chunks, (stream.size() + opts.chunkSize - 1) / opts.chunkSize);
   // collectApplied hands back exactly the applied stream, in order —

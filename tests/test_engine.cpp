@@ -8,6 +8,7 @@
 #include "flay/specializer.h"
 #include "net/fuzzer.h"
 #include "p4/printer.h"
+#include "sim/interpreter.h"
 
 namespace flay::flay {
 namespace {
@@ -165,6 +166,49 @@ pipeline(P, C, D);
       p4::printProgram(Specializer(service).specialize().program);
   ASSERT_NE(before, after) << "the inlined default body changed";
   EXPECT_TRUE(verdict.needsRecompilation);
+}
+
+// Above the over-approximation threshold the table digest tracks every
+// installed action, so the specializer must keep every installed action
+// too. Pruning the action of an eclipsed entry there lets a delete of the
+// eclipsing entry re-expose it without a recompile verdict, and
+// migrateConfig then drops the re-exposed entry from the device: a packet
+// it matches misses on the installed program.
+TEST_F(EngineTest, DeletingEclipsingEntryAboveThresholdKeepsDeviceCurrent) {
+  FlayOptions options;
+  options.encoder.overapproxThreshold = 2;
+  FlayService service(checked, options);
+  service.applyUpdate(Update::insert("C.t", ternary(0x00, 0x00, "set_b", 1, 10)));
+  service.applyUpdate(  // eclipsed by the wildcard above
+      Update::insert("C.t", ternary(0x05, 0xFF, "set_a", 0x42, 5)));
+  service.applyUpdate(Update::insert("C.t", ternary(0x07, 0xFF, "set_b", 2, 20)));
+  service.applyUpdate(Update::insert("C.t", ternary(0x10, 0xF0, "set_b", 3, 1)));
+  auto installedResult = Specializer(service).specialize();
+  std::string installedText = p4::printProgram(installedResult.program);
+  p4::CheckedProgram installed = recheck(std::move(installedResult.program));
+
+  uint64_t wildcard = service.config().table("C.t").entries()[0].id;
+  auto verdict = service.applyUpdate(Update::remove("C.t", wildcard));
+  std::string respecialized =
+      p4::printProgram(Specializer(service).specialize().program);
+  if (!verdict.needsRecompilation) {
+    EXPECT_EQ(respecialized, installedText)
+        << "the specialized program changed without a recompile verdict";
+  } else {
+    installed = recheck(Specializer(service).specialize().program);
+  }
+
+  // hdr.h.a = 0x05 now hits the formerly eclipsed set_a entry.
+  sim::Packet packet;
+  packet.bytes = {0x05, 0x00};
+  runtime::DeviceConfig migrated = migrateConfig(installed, service.config());
+  sim::DataPlaneState origState(checked), specState(installed);
+  sim::ExecResult want =
+      sim::Interpreter(checked, service.config(), origState).process(packet);
+  sim::ExecResult got =
+      sim::Interpreter(installed, migrated, specState).process(packet);
+  ASSERT_EQ(want.outputBytes, (std::vector<uint8_t>{0x42, 0x00}));
+  EXPECT_EQ(got.outputBytes, want.outputBytes);
 }
 
 TEST_F(EngineTest, MalformedUpdateThrowsAndLeavesStateIntact) {

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+
+#include "flay/encoder.h"
 #include "net/fuzzer.h"
 #include "p4/typecheck.h"
 #include "runtime/device_config.h"
@@ -178,9 +182,11 @@ TEST_F(RuntimeTest, NormalizedEntriesDropEclipsed) {
   auto normalized = t.normalizedEntries();
   ASSERT_EQ(normalized.size(), 1u);
   EXPECT_EQ(normalized[0]->actionName, "set_a");
-  // reachableActions reflects only the visible entries + default.
-  auto actions = t.reachableActions();
-  EXPECT_EQ(actions.size(), 2u);  // set_a, noop(default)
+  // The table shape's actions reflect only the visible entries + default.
+  auto shape = ::flay::flay::tableShape(t, /*overapproxThreshold=*/100);
+  EXPECT_EQ(shape.actions, (std::vector<std::string>{"noop", "set_a"}));
+  EXPECT_FALSE(shape.empty);
+  EXPECT_EQ(shape.exactable, (std::vector<bool>{false, false}));
 }
 
 TEST_F(RuntimeTest, EclipsedByNarrowerEntryIsKept) {
@@ -367,11 +373,9 @@ TEST_F(RuntimeTest, LpmEqualPrefixLenOrdersByInsertOrder) {
 
 // The signature/id indexes behind O(1) duplicate detection must stay
 // consistent across the full mutation cycle: duplicate rejects, remove
-// releases the signature, modify keeps id lookups working, and reserve is
-// purely a capacity hint.
+// releases the signature, and modify keeps id lookups working.
 TEST_F(RuntimeTest, DuplicateIndexSurvivesMutationCycle) {
   TableState& t = config.table("C.exact_t");
-  t.reserve(16);
   uint64_t id = t.insert(exactEntry(1, "set_a", {BitVec(8, 10)}));
   // Same match signature, different action: still a duplicate.
   EXPECT_THROW(t.insert(exactEntry(1, "drop_pkt")), std::invalid_argument);
@@ -392,9 +396,6 @@ TEST_F(RuntimeTest, DuplicateIndexSurvivesMutationCycle) {
   EXPECT_EQ(hit->actionName, "set_a");
   EXPECT_THROW(t.insert(exactEntry(1, "noop")), std::invalid_argument);
 
-  // reserve() is a pure capacity hint; the index still detects duplicates
-  // afterward.
-  t.reserve(1000);
   t.insert(exactEntry(2, "set_a", {BitVec(8, 1)}));
   EXPECT_THROW(t.insert(exactEntry(2, "set_a", {BitVec(8, 1)})),
                std::invalid_argument);
@@ -430,6 +431,130 @@ TEST_F(RuntimeTest, ModifyMadeDuplicateDisablesNoEclipseFastPath) {
   auto after = t.normalizedEntries();
   ASSERT_EQ(after.size(), 1u);
   EXPECT_EQ(after[0]->id, b);
+}
+
+// The two counts TableState keeps on every mutation (installed entries per
+// action, and per key the entries not exact-valued on it) must equal a
+// recount over entries() after every step of a random mutation script,
+// rejected steps included. Key exactness read off the counts must equal
+// exactness over normalizedEntries(): an entry masked on a key is only ever
+// eclipsed by an entry masked on that key.
+TEST_F(RuntimeTest, CountsMatchRecountUnderRandomMutationScripts) {
+  std::mt19937_64 rng(20261017);
+  auto randomEntry = [&rng](const TableState& t) {
+    TableEntry e;
+    for (const auto& k : t.decl().keys) {
+      uint32_t w = k.expr->width;
+      switch (k.matchKind) {
+        case p4::MatchKind::kExact:
+          e.matches.push_back(FieldMatch::exact(BitVec(w, rng() % 6)));
+          break;
+        case p4::MatchKind::kTernary: {
+          static const uint64_t kMasks[] = {0x00, 0x0F, 0xF0, 0xFF, 0xFF};
+          e.matches.push_back(FieldMatch::ternary(
+              BitVec(w, rng() % 24), BitVec(w, kMasks[rng() % 5])));
+          break;
+        }
+        case p4::MatchKind::kLpm:
+          e.matches.push_back(FieldMatch::lpm(
+              BitVec(w, ((rng() % 3) << 24) | ((rng() % 3) << 16)),
+              static_cast<uint32_t>(rng() % 5) * 8));
+          break;
+      }
+    }
+    const auto& actions = t.decl().actionNames;
+    e.actionName = rng() % 8 == 0 ? "NoAction" : actions[rng() % actions.size()];
+    if (e.actionName == "set_a") e.actionArgs.push_back(BitVec(8, rng() % 4));
+    if (t.usesPriority()) e.priority = 1 + static_cast<int32_t>(rng() % 3);
+    return e;
+  };
+  auto check = [](const TableState& t, const std::string& where) {
+    std::vector<size_t> actions(t.actionCounts().size(), 0);
+    std::vector<size_t> masked(t.decl().keys.size(), 0);
+    for (const TableEntry& e : t.entries()) {
+      size_t slot = 0;
+      while (slot < actions.size() && t.actionSlotName(slot) != e.actionName) {
+        ++slot;
+      }
+      ASSERT_LT(slot, actions.size()) << where << ": " << e.actionName;
+      ++actions[slot];
+      for (size_t k = 0; k < masked.size(); ++k) {
+        if (!e.matches[k].isExactValued()) ++masked[k];
+      }
+    }
+    EXPECT_EQ(t.actionCounts(), actions) << where;
+    EXPECT_EQ(t.maskedCounts(), masked) << where;
+    auto normalized = t.normalizedEntries();
+    for (size_t k = 0; k < masked.size(); ++k) {
+      bool exact = true;
+      for (const TableEntry* e : normalized) {
+        exact &= e->matches[k].isExactValued();
+      }
+      EXPECT_EQ(t.maskedCounts()[k] == 0, exact) << where << ", key " << k;
+    }
+    // The shape's actions: the normalized entries' at or below the
+    // threshold, every installed entry's above it.
+    auto sortedUnique = [&t](auto first, auto last, auto name) {
+      std::vector<std::string> v{t.defaultActionName()};
+      for (; first != last; ++first) v.push_back(name(*first));
+      std::sort(v.begin(), v.end());
+      v.erase(std::unique(v.begin(), v.end()), v.end());
+      return v;
+    };
+    auto visible = sortedUnique(normalized.begin(), normalized.end(),
+                                [](const TableEntry* e) { return e->actionName; });
+    auto installed = sortedUnique(t.entries().begin(), t.entries().end(),
+                                  [](const TableEntry& e) { return e.actionName; });
+    EXPECT_EQ(::flay::flay::tableShape(t, t.size()).actions, visible) << where;
+    EXPECT_EQ(::flay::flay::tableShape(t, 0).actions, installed) << where;
+  };
+
+  for (const char* name : {"C.exact_t", "C.ternary_t", "C.lpm_t"}) {
+    TableState& t = config.table(name);
+    std::vector<TableEntry> removed;  // restoreEntry candidates, ids kept
+    size_t applied = 0;
+    for (int step = 0; step < 400; ++step) {
+      std::string where = std::string(name) + " step " + std::to_string(step);
+      uint64_t op = rng() % 100;
+      auto pick = [&]() -> const TableEntry& {
+        return t.entries()[rng() % t.size()];
+      };
+      try {
+        if (op < 40 || t.empty()) {
+          t.insert(randomEntry(t));
+        } else if (op < 60) {
+          TableEntry mod = randomEntry(t);
+          if (rng() % 3 == 0) {
+            // Copy another entry's match set: a modify-made duplicate.
+            const TableEntry& other = pick();
+            mod.matches = other.matches;
+            mod.priority = other.priority;
+          }
+          mod.id = pick().id;
+          t.modify(std::move(mod));
+        } else if (op < 82) {
+          TableEntry victim = pick();
+          t.remove(victim.id);
+          removed.push_back(std::move(victim));
+        } else if (op < 97) {
+          if (removed.empty()) continue;
+          TableEntry back = std::move(removed.back());
+          removed.pop_back();
+          t.restoreEntry(std::move(back));
+        } else {
+          removed.insert(removed.end(), t.entries().begin(), t.entries().end());
+          t.clear();
+        }
+        ++applied;
+      } catch (const std::invalid_argument&) {
+        // Rejected (duplicate, full table, restored id clash): the counts
+        // must be untouched, which the check below verifies.
+      }
+      check(t, where);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    EXPECT_GT(applied, 200u) << name;
+  }
 }
 
 }  // namespace

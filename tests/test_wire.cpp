@@ -124,14 +124,23 @@ TEST(WireCodec, MessageRoundTrips) {
 
   BulkChunk chunk;
   chunk.chunkSize = 4096;
-  chunk.classifierPrefilter = false;
   chunk.last = true;
   chunk.updates = {"insert T [2] -> b()"};
   BulkChunk k2 = decodeBulkChunk(encode(chunk));
   EXPECT_EQ(k2.chunkSize, chunk.chunkSize);
-  EXPECT_EQ(k2.classifierPrefilter, chunk.classifierPrefilter);
   EXPECT_EQ(k2.last, chunk.last);
   EXPECT_EQ(k2.updates, chunk.updates);
+
+  BulkReply reply;
+  reply.applied = 4090;
+  reply.rejected = 6;
+  reply.retries = 2;
+  reply.degraded = true;
+  BulkReply r2 = decodeBulkReply(encode(reply));
+  EXPECT_EQ(r2.applied, reply.applied);
+  EXPECT_EQ(r2.rejected, reply.rejected);
+  EXPECT_EQ(r2.retries, reply.retries);
+  EXPECT_EQ(r2.degraded, reply.degraded);
 }
 
 // ---------------------------------------------------------------------------
@@ -159,6 +168,23 @@ TEST(WireCodec, VersionMismatchRejected) {
   std::vector<uint8_t> good = validFrame();
   dec.feed(good.data(), good.size());
   EXPECT_EQ(dec.next(&f), FrameDecoder::Status::kError);
+}
+
+// Version 2 reshaped the bulk payloads; a version-1 peer's frame must be
+// refused with the same version error as any other unspoken version, not
+// decoded against the new schema.
+TEST(WireCodec, VersionOneFrameRejected) {
+  ASSERT_EQ(kVersion, 2);
+  std::vector<uint8_t> bytes = validFrame();
+  bytes[4] = 1;  // version lives at offset 4, little-endian
+  bytes[5] = 0;
+  FrameDecoder dec;
+  dec.feed(bytes.data(), bytes.size());
+  Frame f;
+  EXPECT_EQ(dec.next(&f), FrameDecoder::Status::kError);
+  EXPECT_TRUE(dec.failed());
+  EXPECT_NE(dec.error().find("wire version 1 unsupported"), std::string::npos)
+      << dec.error();
 }
 
 TEST(WireCodec, BadMagicRejected) {

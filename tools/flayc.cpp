@@ -487,13 +487,10 @@ int cmdFuzz(const p4::CheckedProgram& checked, const Options& opts) {
     bopts.chunkSize = opts.chunk;
     core::BulkLoadReport rep = service.bulkLoad(updates, bopts);
     std::printf(
-        "fuzz run (bulk): %llu/%llu updates applied (%llu bypassed, "
-        "%llu analyzed, %llu rejected) in %zu chunk(s) of %zu across %zu "
-        "tables\n",
+        "fuzz run (bulk): %llu/%llu updates applied (%llu rejected) in %zu "
+        "chunk(s) of %zu across %zu tables\n",
         static_cast<unsigned long long>(rep.applied),
         static_cast<unsigned long long>(rep.updates),
-        static_cast<unsigned long long>(rep.bypassed),
-        static_cast<unsigned long long>(rep.analyzed),
         static_cast<unsigned long long>(rep.rejected), rep.chunks, opts.chunk,
         pools.size());
     std::printf("  expression-changing:  %s\n",
@@ -638,12 +635,10 @@ int cmdBulkload(const p4::CheckedProgram& checked, const Options& opts) {
   double secs = timer.elapsedSeconds();
 
   std::printf(
-      "bulkload: %llu/%llu updates applied (%llu bypassed, %llu analyzed, "
-      "%llu rejected) in %zu chunk(s) of %zu\n",
+      "bulkload: %llu/%llu updates applied (%llu rejected) in %zu chunk(s) "
+      "of %zu\n",
       static_cast<unsigned long long>(rep.applied),
       static_cast<unsigned long long>(rep.updates),
-      static_cast<unsigned long long>(rep.bypassed),
-      static_cast<unsigned long long>(rep.analyzed),
       static_cast<unsigned long long>(rep.rejected), rep.chunks, opts.chunk);
   std::printf("  sustained: %.0f updates/s (%.3f s wall)\n",
               secs > 0 ? rep.updates / secs : 0.0, secs);
@@ -657,7 +652,7 @@ int cmdBulkload(const p4::CheckedProgram& checked, const Options& opts) {
 
   // Pass/fail: the bulk path's incremental state must agree with a
   // from-scratch respecialization of the final config — the same oracle
-  // fuzz runs use, which also covers every bypassed entry.
+  // fuzz runs use.
   oracle::ConsistencyReport consistency =
       oracle::checkIncrementalConsistency(service);
   if (!consistency.consistent) {
