@@ -94,7 +94,6 @@ void FaultTolerantController::recoverFromJournal() {
   // Newest intact checkpoint wins; a torn checkpoint file falls back to the
   // previous marker (the journal tail from there is still complete).
   size_t baseIndex = 0;  // replay starts after this record index
-  uint64_t baseSeq = 0;
   for (size_t i = records.size(); i-- > 0;) {
     if (records[i].type != JournalRecord::Type::kCheckpoint) continue;
     try {
@@ -103,60 +102,28 @@ void FaultTolerantController::recoverFromJournal() {
           options_.stateDir + "/" + records[i].file, checked_, &ckptSeq);
       service_->adoptConfig(std::move(config));
       baseIndex = i + 1;
-      baseSeq = ckptSeq;
       break;
     } catch (const std::exception&) {
       continue;  // torn or missing checkpoint: try an older one
     }
   }
-  (void)baseSeq;
 
-  // Replay committed transaction groups; a group without its commit record
-  // (crash mid-apply, or an aborted batch) is skipped — that is the
-  // transactional contract. Update text is kept raw until the commit record
-  // is seen: the journal is written ahead of validation, so an aborted group
-  // may carry text that does not parse against the program — it must not be
-  // able to poison recovery.
-  std::vector<std::string> pendingTexts;
-  bool inGroup = false;
+  // Each commit record is one transaction that was applied in memory before
+  // it was written, so its text parses and it replays as one batch. IFC
+  // records are audit-only: verdicts are re-derived from the recovered state
+  // by the engine attached after replay, never trusted from the log.
   for (size_t i = baseIndex; i < records.size(); ++i) {
-    const JournalRecord& rec = records[i];
-    switch (rec.type) {
-      case JournalRecord::Type::kBegin:
-        inGroup = true;
-        pendingTexts.clear();
-        break;
-      case JournalRecord::Type::kUpdate:
-        if (inGroup) pendingTexts.push_back(rec.text);
-        break;
-      case JournalRecord::Type::kCommit:
-        if (inGroup && !pendingTexts.empty()) {
-          std::vector<runtime::Update> pending;
-          pending.reserve(pendingTexts.size());
-          for (const std::string& text : pendingTexts) {
-            pending.push_back(runtime::Update::fromString(checked_, text));
-          }
-          service_->applyBatch(pending);
-          replayedUpdates_ += pending.size();
-          committedUpdates_.fetch_add(pending.size(),
-                                      std::memory_order_relaxed);
-          sinceCheckpoint_ += pending.size();
-          ControllerObs::get().replayed.add(pending.size());
-        }
-        pendingTexts.clear();
-        inGroup = false;
-        break;
-      case JournalRecord::Type::kAbort:
-        pendingTexts.clear();
-        inGroup = false;
-        break;
-      case JournalRecord::Type::kCheckpoint:
-        break;
-      case JournalRecord::Type::kIfcViolation:
-        // Audit-only: IFC verdicts are re-derived from the recovered state
-        // by the engine attached after replay, never trusted from the log.
-        break;
+    if (records[i].type != JournalRecord::Type::kCommit) continue;
+    std::vector<runtime::Update> batch;
+    batch.reserve(records[i].updates.size());
+    for (const std::string& text : records[i].updates) {
+      batch.push_back(runtime::Update::fromString(checked_, text));
     }
+    service_->applyBatch(batch);
+    replayedUpdates_ += batch.size();
+    committedUpdates_.fetch_add(batch.size(), std::memory_order_relaxed);
+    sinceCheckpoint_ += batch.size();
+    ControllerObs::get().replayed.add(batch.size());
   }
 }
 
@@ -192,27 +159,24 @@ ApplyResult FaultTolerantController::applyBatch(
   }
   ControllerObs& cobs = ControllerObs::get();
 
-  // Write-ahead: the intent is durable before any state changes, and the
-  // commit marker only lands after the in-memory apply succeeded, so
-  // recovery replays exactly the acknowledged transactions.
-  if (journal_ != nullptr) {
-    journal_->appendBegin(updates.size());
-    for (const auto& u : updates) journal_->appendUpdate(u);
-  }
-
   flay::ServiceSnapshot snap = service_->snapshot();
   try {
     result.verdict = service_->applyBatch(updates);
+    // The commit record is durable before the device sees anything, so
+    // recovery replays exactly the acknowledged transactions.
+    if (journal_ != nullptr) {
+      journal_->appendBegin(updates.size());
+      for (const auto& u : updates) journal_->appendUpdate(u);
+      journal_->appendCommit();
+    }
   } catch (...) {
-    // Strong exception guarantee: the k-th update failing rolls back the
-    // k-1 already-applied ones, and the journal records the abort so the
-    // group never replays.
+    // Strong exception guarantee: the k-th update failing (or the commit
+    // record failing to land) rolls back the k-1 already-applied ones. The
+    // batch was never journaled, so it never replays.
     service_->restore(snap);
-    if (journal_ != nullptr) journal_->appendAbort();
     cobs.rollbacks.add(1);
     throw;
   }
-  if (journal_ != nullptr) journal_->appendCommit();
   committedUpdates_.fetch_add(updates.size(), std::memory_order_relaxed);
   sinceCheckpoint_ += updates.size();
   cobs.applied.add(updates.size());
@@ -309,9 +273,9 @@ BulkApplyResult FaultTolerantController::applyBulk(
 
   result.report = service_->applyStream(
       source, options, [&](const flay::BulkChunkVerdict& chunk) {
-        // The chunk is already applied in memory when this runs; the
-        // journal records it as one committed group, so recovery replays
-        // exactly the acknowledged chunks.
+        // The chunk is already applied in memory when this runs; it commits
+        // as one journal record, so recovery replays exactly the
+        // acknowledged chunks.
         if (journal_ != nullptr && !chunk.appliedUpdates.empty()) {
           journal_->appendBegin(chunk.appliedUpdates.size());
           for (const auto& u : chunk.appliedUpdates) journal_->appendUpdate(u);

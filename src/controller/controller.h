@@ -105,9 +105,11 @@ struct ApplyResult {
 ///  - Transactional batches: every apply is bracketed by a copy-on-write
 ///    ServiceSnapshot; a mid-batch failure restores the exact pre-batch
 ///    analysis state (strong exception guarantee).
-///  - Write-ahead journal + checkpoints: committed updates survive SIGKILL;
-///    a restarted controller recovers to the last committed state by
-///    loading the newest intact checkpoint and replaying the journal tail.
+///  - Write-ahead journal + checkpoints: each transaction is one commit
+///    record, durable before the device sees it, so acknowledged updates
+///    survive SIGKILL; a restarted controller recovers to the last
+///    committed state by loading the newest intact checkpoint and replaying
+///    the commit records after it.
 ///  - Device retry/backoff + graceful degradation: failed compiles/installs
 ///    are retried with exponential backoff; when retries exhaust, the
 ///    device stays pinned to the last good specialized program and the
@@ -121,7 +123,8 @@ class FaultTolerantController {
  public:
   /// `device` may be null (no device interaction: analysis + WAL only).
   /// If options.stateDir holds a journal from a previous run, the
-  /// constructor performs crash recovery before accepting new updates.
+  /// constructor performs crash recovery before accepting new updates; a
+  /// corrupt journal makes it throw std::runtime_error.
   FaultTolerantController(const p4::CheckedProgram& checked, Device* device,
                           ControllerOptions options = {});
 
@@ -129,8 +132,8 @@ class FaultTolerantController {
   ApplyResult applyBatch(const std::vector<runtime::Update>& updates);
 
   /// Streams a bulk load through the service's chunked path
-  /// (FlayService::applyStream), journaling each chunk as one committed
-  /// transaction group and reconciling the device once at the end of the
+  /// (FlayService::applyStream), journaling each chunk as one commit
+  /// record and reconciling the device once at the end of the
   /// stream: a single recompile+install if any chunk's verdict demands it,
   /// plain forwarding otherwise. While degraded, the stream is applied to
   /// the authoritative state and queued for the device until recovery.

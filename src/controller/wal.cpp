@@ -32,7 +32,7 @@ std::string jsonEscape(const std::string& s) {
 }
 
 /// Minimal cursor-based reader for the records this writer emits. Any
-/// mismatch returns false — the caller treats the line as a torn tail.
+/// mismatch returns false.
 struct LineParser {
   std::string_view s;
   size_t pos = 0;
@@ -77,18 +77,13 @@ bool parseLine(std::string_view line, JournalRecord* rec) {
   std::string type;
   while (p.pos < line.size() && line[p.pos] != '"') type += line[p.pos++];
   if (!p.literal("\"")) return false;
-  if (type == "begin") {
-    rec->type = JournalRecord::Type::kBegin;
-    uint64_t n = 0;
-    if (!p.literal(",\"n\":") || !p.number(&n)) return false;
-    rec->n = static_cast<size_t>(n);
-  } else if (type == "update") {
-    rec->type = JournalRecord::Type::kUpdate;
-    if (!p.literal(",\"text\":") || !p.quoted(&rec->text)) return false;
-  } else if (type == "commit") {
+  if (type == "commit") {
     rec->type = JournalRecord::Type::kCommit;
-  } else if (type == "abort") {
-    rec->type = JournalRecord::Type::kAbort;
+    if (!p.literal(",\"updates\":[")) return false;
+    while (!p.literal("]")) {
+      if (!rec->updates.empty() && !p.literal(",")) return false;
+      if (!p.quoted(&rec->updates.emplace_back())) return false;
+    }
   } else if (type == "checkpoint") {
     rec->type = JournalRecord::Type::kCheckpoint;
     if (!p.literal(",\"file\":") || !p.quoted(&rec->file)) return false;
@@ -101,17 +96,46 @@ bool parseLine(std::string_view line, JournalRecord* rec) {
   return p.literal("}") && p.pos == line.size();
 }
 
+/// Parses the journal at `path`; *intactBytes receives the length of its
+/// complete lines.
+std::vector<JournalRecord> readJournal(const std::string& path,
+                                       uint64_t* intactBytes) {
+  std::vector<JournalRecord> records;
+  *intactBytes = 0;
+  std::ifstream in(path, std::ios::binary);
+  std::string line;
+  // getline reaching end of file means the final line has no newline: an
+  // append cut short by a crash, never acknowledged, so it is dropped.
+  for (size_t lineNo = 1; std::getline(in, line) && !in.eof(); ++lineNo) {
+    JournalRecord rec;
+    if (!parseLine(line, &rec)) {
+      throw std::runtime_error("journal '" + path + "': line " +
+                               std::to_string(lineNo) +
+                               " is not a valid record");
+    }
+    records.push_back(std::move(rec));
+    *intactBytes += line.size() + 1;
+  }
+  return records;
+}
+
 }  // namespace
 
 Journal::~Journal() { close(); }
 
 void Journal::open() {
   if (file_ != nullptr) return;
-  // Continue the sequence after whatever intact tail already exists.
-  for (const JournalRecord& rec : load(path_)) seq_ = rec.seq;
+  uint64_t intactBytes = 0;
+  std::vector<JournalRecord> records = readJournal(path_, &intactBytes);
+  if (!records.empty()) seq_ = records.back().seq;
   file_ = std::fopen(path_.c_str(), "ab");
   if (file_ == nullptr) {
     throw std::runtime_error("cannot open journal '" + path_ + "'");
+  }
+  // Cut off a torn tail: the next record would otherwise complete its line
+  // as garbage, and the next recovery would refuse the journal.
+  if (::ftruncate(fileno(file_), static_cast<off_t>(intactBytes)) != 0) {
+    throw std::runtime_error("cannot truncate journal '" + path_ + "'");
   }
 }
 
@@ -132,24 +156,27 @@ uint64_t Journal::append(const std::string& body) {
   }
   // Flush to the OS and to the disk: a record is only "journaled" once it
   // survives SIGKILL of this process (fflush) and power loss (fsync).
-  std::fflush(file_);
-  ::fsync(fileno(file_));
+  if (std::fflush(file_) != 0 || ::fsync(fileno(file_)) != 0) {
+    throw std::runtime_error("journal flush failed: " + path_);
+  }
   obs::Registry::global().counter("controller.journal_records").add(1);
   return seq;
 }
 
-uint64_t Journal::appendBegin(size_t n) {
-  return append("\"type\":\"begin\",\"n\":" + std::to_string(n));
+void Journal::appendBegin(size_t /*n*/) { staged_.clear(); }
+
+void Journal::appendUpdate(const runtime::Update& update) {
+  if (!staged_.empty()) staged_ += ',';
+  staged_ += '"';
+  staged_ += jsonEscape(update.toString());
+  staged_ += '"';
 }
 
-uint64_t Journal::appendUpdate(const runtime::Update& update) {
-  return append("\"type\":\"update\",\"text\":\"" +
-                jsonEscape(update.toString()) + "\"");
+uint64_t Journal::appendCommit() {
+  uint64_t seq = append("\"type\":\"commit\",\"updates\":[" + staged_ + "]");
+  staged_.clear();
+  return seq;
 }
-
-uint64_t Journal::appendCommit() { return append("\"type\":\"commit\""); }
-
-uint64_t Journal::appendAbort() { return append("\"type\":\"abort\""); }
 
 uint64_t Journal::appendCheckpoint(const std::string& checkpointFile) {
   return append("\"type\":\"checkpoint\",\"file\":\"" +
@@ -161,16 +188,8 @@ uint64_t Journal::appendIfcViolation(const std::string& flowText) {
 }
 
 std::vector<JournalRecord> Journal::load(const std::string& path) {
-  std::vector<JournalRecord> records;
-  std::ifstream in(path);
-  if (!in) return records;
-  std::string line;
-  while (std::getline(in, line)) {
-    JournalRecord rec;
-    if (!parseLine(line, &rec)) break;  // torn tail: stop, keep the prefix
-    records.push_back(std::move(rec));
-  }
-  return records;
+  uint64_t intactBytes = 0;
+  return readJournal(path, &intactBytes);
 }
 
 // ---------------------------------------------------------------------------

@@ -10,24 +10,24 @@
 
 namespace flay::controller {
 
-/// One journal record. The journal is JSONL: one JSON object per line,
-/// e.g. {"seq":4,"type":"update","text":"insert Ingress.fwd [...] -> fwd(...)"}.
+/// One journal record. The journal is JSONL, one JSON object per line:
+/// {"seq":4,"type":"commit","updates":["insert Ingress.fwd [...] -> ..."]}.
 struct JournalRecord {
-  enum class Type { kBegin, kUpdate, kCommit, kAbort, kCheckpoint,
-                    kIfcViolation };
-  Type type = Type::kUpdate;
+  enum class Type { kCommit, kCheckpoint, kIfcViolation };
+  Type type = Type::kCommit;
   uint64_t seq = 0;
-  std::string text;  // kUpdate: Update wire text; kIfcViolation: flow line
-  size_t n = 0;      // kBegin: updates in the transaction
+  /// kCommit: the transaction's updates as Update wire text, in apply order.
+  std::vector<std::string> updates;
+  std::string text;  // kIfcViolation: flow line
   std::string file;  // kCheckpoint: checkpoint file name (relative to dir)
 };
 
-/// Append-only write-ahead journal with transactional group markers. Every
-/// applied group is bracketed begin/commit; a group missing its commit (the
-/// process died mid-apply, or the apply aborted) is skipped on replay, which
-/// is exactly the transactional contract: recovery lands on the last
-/// committed state. Each append is flushed and fsync'd before returning, so
-/// a committed record survives SIGKILL.
+/// Append-only write-ahead journal, one record per committed transaction.
+/// appendBegin/appendUpdate stage a transaction in memory; appendCommit
+/// writes it as one line, flushed and fsync'd before it returns. The
+/// controller commits after the in-memory apply and before any device
+/// action, so a transaction is acknowledged, and reaches the device, only
+/// once its commit line is durable; a rolled-back batch writes nothing.
 class Journal {
  public:
   explicit Journal(std::string path) : path_(std::move(path)) {}
@@ -35,15 +35,19 @@ class Journal {
   Journal(const Journal&) = delete;
   Journal& operator=(const Journal&) = delete;
 
-  /// Opens for appending, continuing the sequence after any existing tail.
+  /// Opens for appending after the intact records, cutting off a torn final
+  /// line so the next record starts a line of its own.
   void open();
   void close();
   bool isOpen() const { return file_ != nullptr; }
 
-  uint64_t appendBegin(size_t n);
-  uint64_t appendUpdate(const runtime::Update& update);
+  /// Starts a transaction in memory, discarding anything staged and not
+  /// committed. `n` is unused: the commit record lists the updates itself.
+  void appendBegin(size_t n);
+  /// Stages one update of the open transaction; writes nothing.
+  void appendUpdate(const runtime::Update& update);
+  /// Writes the staged transaction as one commit record.
   uint64_t appendCommit();
-  uint64_t appendAbort();
   uint64_t appendCheckpoint(const std::string& checkpointFile);
   /// Journals an information-flow violation surfaced by the IFC analysis
   /// after a committed apply. Purely an audit record: replay ignores it
@@ -54,9 +58,10 @@ class Journal {
   uint64_t lastSeq() const { return seq_; }
   const std::string& path() const { return path_; }
 
-  /// Loads every parseable record. Torn-tail tolerant: reading stops at the
-  /// first malformed or truncated line (an append cut short by a crash) —
-  /// everything before it is intact because appends are sequential.
+  /// Loads every record, ignoring a torn tail (an unterminated final line).
+  /// A complete line that does not parse is corruption: throws
+  /// std::runtime_error naming its line number rather than silently drop
+  /// the records after it.
   static std::vector<JournalRecord> load(const std::string& path);
 
  private:
@@ -65,6 +70,9 @@ class Journal {
   std::string path_;
   std::FILE* file_ = nullptr;
   uint64_t seq_ = 0;
+  /// The open transaction's updates, rendered as comma-separated JSON
+  /// strings.
+  std::string staged_;
 };
 
 /// Point-in-time snapshot of a DeviceConfig, written atomically (temp file +

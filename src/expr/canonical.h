@@ -1,38 +1,51 @@
 #ifndef FLAY_EXPR_CANONICAL_H
 #define FLAY_EXPR_CANONICAL_H
 
+#include <compare>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <vector>
 
 #include "expr/arena.h"
 
 namespace flay::expr {
 
-/// Renders an expression in a process-independent canonical form. The
+struct Hash128 {
+  uint64_t hi = 0;
+  uint64_t lo = 0;
+  auto operator<=>(const Hash128&) const = default;
+  /// 32 lowercase hex digits, hi first.
+  std::string hex() const;
+};
+
+/// Hashes an expression in a process-independent canonical form. The
 /// arena's smart constructors order commutative operands by interning id
 /// (arena.cpp), and interning ids depend on construction history — a
 /// recovered service that re-encoded its tables from a checkpoint, or a
 /// substitution pass that rebuilt a condition in a different order, holds
 /// semantically identical but structurally permuted and/or chains. The
-/// canonical form flattens those chains and sorts operands by their own
-/// rendering, so equal formulas render equally regardless of construction
-/// history. One consumer keys on this: the state digest
-/// (FlayService::stateDigest) that crash recovery, the bulk-load parity
-/// check and the controller compare across construction histories.
-class CanonicalRenderer {
+/// canonical hash flattens those chains and sorts their operands' hashes,
+/// and orders eq operands by hash, so equal formulas hash equally regardless
+/// of construction history. Every node's hash is memoized for the hasher's
+/// lifetime, so a subexpression shared by many parents is hashed once and
+/// costs O(1) memory, however many paths lead to it. One consumer keys on
+/// this: the state digest (FlayService::stateDigest) that crash recovery,
+/// the bulk-load parity check and the controller compare across construction
+/// histories.
+class CanonicalHasher {
  public:
-  explicit CanonicalRenderer(const ExprArena& arena) : arena_(arena) {}
+  explicit CanonicalHasher(const ExprArena& arena) : arena_(arena) {}
 
-  const std::string& render(ExprRef r);
+  Hash128 hash(ExprRef r);
 
  private:
-  void flatten(ExprRef r, ExprKind kind, std::vector<std::string>* out);
-  std::string nary(const char* op, std::initializer_list<ExprRef> kids);
-  std::string renderNode(ExprRef r);
+  void flatten(ExprRef r, ExprKind kind, std::vector<Hash128>* out);
+  Hash128 hashNode(ExprRef r);
 
   const ExprArena& arena_;
-  std::unordered_map<uint32_t, std::string> memo_;
+  std::unordered_map<uint32_t, Hash128> memo_;
 };
 
 /// FNV-1a accumulator over rendered pieces, with a separator mixed in after

@@ -543,14 +543,14 @@ std::string FlayService::stateDigest() const {
       for (const auto& a : m.args) fnv.mix(a.toHexString());
     }
   }
-  // Specialized expressions are rendered canonically (commutative chains
-  // flattened and content-sorted): arena ids and the arena's id-ordered
+  // Specialized expressions are hashed canonically (commutative chains
+  // flattened and hash-sorted): arena ids and the arena's id-ordered
   // operand placement both depend on construction history, which neither a
   // crash recovery nor an alternate update path (bulk load vs sequential
   // replay) shares with the run it is compared against.
-  expr::CanonicalRenderer renderer(*arena_);
+  expr::CanonicalHasher hasher(*arena_);
   for (const auto& p : analysis_.annotations.points()) {
-    fnv.mix(renderer.render(p.specialized));
+    fnv.mix(hasher.hash(p.specialized).hex());
   }
   return fnv.hex();
 }

@@ -163,8 +163,8 @@ class FlayService {
 
   /// Process-independent digest of the full update-visible state: the
   /// config (entries with ids and allocator positions, value sets,
-  /// profiles) plus every specialized program-point expression rendered
-  /// canonically. Two services with equal digests are in observably
+  /// profiles) plus every specialized program-point expression hashed
+  /// canonically (expr::CanonicalHasher). Two services with equal digests are in observably
   /// identical states — the parity contract between the bulk-load path and
   /// a sequential replay, and the crashtest's recovery check.
   std::string stateDigest() const;

@@ -4,8 +4,11 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -68,6 +71,17 @@ size_t applyScript(FaultTolerantController& c,
 
 uint64_t counterValue(const char* name) {
   return obs::Registry::global().counter(name).value();
+}
+
+std::string readFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+void writeFile(const std::string& path, const std::string& contents) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << contents;
 }
 
 // ---------------------------------------------------------------------------
@@ -140,8 +154,9 @@ TEST(TransactionalBatch, EngineMidBatchThrowKeepsPrefixAnalyzed) {
 }
 
 // The controller layers the strong exception guarantee on top: a failed
-// batch rolls back even the successfully applied prefix, the journal records
-// the abort, and a post-crash recovery agrees with the rolled-back state.
+// batch rolls back even the successfully applied prefix, nothing of it
+// reaches the journal, and a post-crash recovery agrees with the rolled-back
+// state.
 TEST(TransactionalBatch, ControllerRollsBackFailedBatchAndAbortsJournal) {
   StateDir dir("rollback");
   p4::CheckedProgram checked = load("middleblock");
@@ -167,11 +182,31 @@ TEST(TransactionalBatch, ControllerRollsBackFailedBatchAndAbortsJournal) {
     EXPECT_EQ(ctrl.committedUpdates(), committed);
     EXPECT_EQ(counterValue("controller.rollbacks"), rollbacksBefore + 1);
   }
-  // The aborted group must not replay — and the poison update's text inside
-  // it (journaled ahead of validation) must not poison recovery either.
+  // The rolled-back batch must not replay: it was never journaled.
   FaultTolerantController recovered(checked, nullptr, opts);
   EXPECT_EQ(recovered.stateDigest(), before);
   EXPECT_EQ(recovered.replayedUpdates(), committed);
+}
+
+// A transaction is journaled only once its in-memory apply succeeded, so a
+// batch that rolls back leaves the journal byte-identical.
+TEST(TransactionalBatch, RolledBackBatchLeavesJournalUntouched) {
+  StateDir dir("rollback-bytes");
+  p4::CheckedProgram checked = load("middleblock");
+  auto entries = net::middleblockAclEntries(2);
+
+  ControllerOptions opts;
+  opts.stateDir = dir.str();
+  FaultTolerantController ctrl(checked, nullptr, opts);
+  ctrl.apply(entries[0]);
+  const std::string path = dir.str() + "/journal.jsonl";
+  const std::string before = readFile(path);
+  ASSERT_FALSE(before.empty());
+
+  runtime::Update poison =
+      runtime::Update::insert("No.Such.Table", runtime::TableEntry{});
+  EXPECT_THROW(ctrl.applyBatch({entries[1], poison}), std::invalid_argument);
+  EXPECT_EQ(readFile(path), before);
 }
 
 // ---------------------------------------------------------------------------
@@ -252,6 +287,77 @@ TEST(CrashRecovery, TornJournalTailIsIgnored) {
   EXPECT_EQ(recovered.stateDigest(), digest);
 }
 
+// Commits made after recovering from a torn tail must survive the next
+// restart: the journal cuts the torn line off on open, so the next commit
+// record starts a line of its own instead of being glued onto the torn one.
+TEST(CrashRecovery, CommitsAfterTornTailRecoverySurviveRestart) {
+  StateDir dir("torn-restart");
+  p4::CheckedProgram checked = load("middleblock");
+  auto script = net::fuzzUpdateSequence(checked, 12, 9);
+  ASSERT_EQ(script.size(), 12u);
+  const std::vector<runtime::Update> first(script.begin(), script.begin() + 6);
+  const std::vector<runtime::Update> rest(script.begin() + 6, script.end());
+
+  ControllerOptions opts;
+  opts.stateDir = dir.str();
+  size_t applied = 0;
+  {
+    FaultTolerantController ctrl(checked, nullptr, opts);
+    applied = applyScript(ctrl, first, first.size());
+  }
+  {
+    std::FILE* f = std::fopen((dir.str() + "/journal.jsonl").c_str(), "ab");
+    ASSERT_NE(f, nullptr);
+    std::fputs("{\"seq\":999999,\"type\":\"upd", f);  // no newline: torn
+    std::fclose(f);
+  }
+  std::string acknowledged;
+  {
+    FaultTolerantController recovered(checked, nullptr, opts);
+    EXPECT_EQ(recovered.replayedUpdates(), applied);
+    applied += applyScript(recovered, rest, rest.size());
+    acknowledged = recovered.stateDigest();
+  }
+  FaultTolerantController restarted(checked, nullptr, opts);
+  EXPECT_EQ(restarted.stateDigest(), acknowledged);
+  EXPECT_EQ(restarted.replayedUpdates(), applied);
+}
+
+// Only an unterminated final line is a torn tail. A complete line that does
+// not parse, whether a damaged record or one in the retired
+// begin/update/commit format, is corruption: the controller refuses to
+// start instead of silently dropping every commit after that line.
+TEST(CrashRecovery, MalformedCompleteLineRefusesToStart) {
+  StateDir dir("corrupt");
+  p4::CheckedProgram checked = load("middleblock");
+  auto entries = net::middleblockAclEntries(3);
+
+  ControllerOptions opts;
+  opts.stateDir = dir.str();
+  {
+    FaultTolerantController ctrl(checked, nullptr, opts);
+    for (const auto& u : entries) ctrl.apply(u);
+  }
+  const std::string path = dir.str() + "/journal.jsonl";
+  std::string journal = readFile(path);
+  const size_t secondLine = journal.find('\n') + 1;
+  ASSERT_NE(secondLine, 0u);
+  writeFile(path, journal.substr(0, secondLine) +
+                      "{\"seq\":2,\"type\":\"gar\n" +
+                      journal.substr(secondLine));
+  try {
+    FaultTolerantController corrupt(checked, nullptr, opts);
+    ADD_FAILURE() << "a garbage middle line was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
+        << e.what();
+  }
+
+  writeFile(path, "{\"seq\":1,\"type\":\"begin\",\"n\":1}\n");
+  EXPECT_THROW({ FaultTolerantController old(checked, nullptr, opts); },
+               std::runtime_error);
+}
+
 TEST(CrashRecovery, CheckpointBoundsReplayWork) {
   StateDir dir("ckpt");
   p4::CheckedProgram checked = load("middleblock");
@@ -272,6 +378,66 @@ TEST(CrashRecovery, CheckpointBoundsReplayWork) {
   EXPECT_EQ(recovered.stateDigest(), digest);
   // Everything before the checkpoint came from the snapshot, not replay.
   EXPECT_EQ(recovered.replayedUpdates(), 0u) << "applied " << applied;
+}
+
+// One record per committed transaction: N single-update applies leave N
+// commit records of one update each, and the record counter rises by N.
+TEST(Journal, EachCommittedApplyWritesOneRecord) {
+  StateDir dir("one-record");
+  p4::CheckedProgram checked = load("middleblock");
+  auto entries = net::middleblockAclEntries(8);
+
+  ControllerOptions opts;
+  opts.stateDir = dir.str();
+  opts.checkpointEvery = 0;
+  FaultTolerantController ctrl(checked, nullptr, opts);
+  const uint64_t recordsBefore = counterValue("controller.journal_records");
+  for (const auto& u : entries) ctrl.apply(u);
+  EXPECT_EQ(counterValue("controller.journal_records"),
+            recordsBefore + entries.size());
+
+  const std::string path = dir.str() + "/journal.jsonl";
+  std::vector<JournalRecord> records = Journal::load(path);
+  ASSERT_EQ(records.size(), entries.size());
+  for (size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(records[i].type, JournalRecord::Type::kCommit);
+    EXPECT_EQ(records[i].seq, i + 1);
+    ASSERT_EQ(records[i].updates.size(), 1u);
+    EXPECT_EQ(records[i].updates[0], entries[i].toString());
+  }
+  const std::string journal = readFile(path);
+  EXPECT_EQ(journal.substr(0, journal.find('\n')),
+            "{\"seq\":1,\"type\":\"commit\",\"updates\":[\"" +
+                entries[0].toString() + "\"]}");
+}
+
+// appendBegin and appendUpdate only stage: a group that is never committed
+// never reaches the file, and a new appendBegin discards it.
+TEST(Journal, UncommittedGroupNeverReachesFile) {
+  StateDir dir("staged");
+  auto entries = net::middleblockAclEntries(2);
+  const std::string path = dir.str() + "/journal.jsonl";
+  {
+    Journal journal(path);
+    journal.open();
+    journal.appendBegin(2);
+    journal.appendUpdate(entries[0]);
+    journal.appendUpdate(entries[1]);
+  }
+  EXPECT_EQ(fs::file_size(path), 0u);
+  {
+    Journal journal(path);
+    journal.open();
+    journal.appendBegin(1);
+    journal.appendUpdate(entries[0]);
+    journal.appendBegin(1);
+    journal.appendUpdate(entries[1]);
+    EXPECT_EQ(journal.appendCommit(), 1u);
+  }
+  std::vector<JournalRecord> records = Journal::load(path);
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].updates,
+            std::vector<std::string>{entries[1].toString()});
 }
 
 // ---------------------------------------------------------------------------
@@ -500,6 +666,38 @@ TEST(BulkApply, JournalsPerChunkAndRecoversToSameDigest) {
   FaultTolerantController seq(checked, nullptr, seqOpts);
   applyScript(seq, stream, stream.size());
   EXPECT_EQ(seq.stateDigest(), digest);
+}
+
+// A bulk chunk commits through the same three journal calls: 150 entries in
+// chunks of 32 leave five commit records, each holding its chunk's updates.
+TEST(BulkApply, CommitsOneRecordPerChunk) {
+  StateDir dir("bulk-records");
+  p4::CheckedProgram checked = load("middleblock");
+  auto stream = net::middleblockAclEntries(150);
+
+  ControllerOptions opts;
+  opts.stateDir = dir.str();
+  opts.checkpointEvery = 0;
+  FaultTolerantController ctrl(checked, nullptr, opts);
+  const uint64_t recordsBefore = counterValue("controller.journal_records");
+  flay::BulkLoadOptions bopts;
+  bopts.chunkSize = 32;
+  ASSERT_EQ(ctrl.applyBulk(stream, bopts).report.applied, stream.size());
+  EXPECT_EQ(counterValue("controller.journal_records"), recordsBefore + 5);
+
+  std::vector<JournalRecord> records =
+      Journal::load(dir.str() + "/journal.jsonl");
+  ASSERT_EQ(records.size(), 5u);
+  size_t next = 0;
+  for (const JournalRecord& rec : records) {
+    EXPECT_EQ(rec.type, JournalRecord::Type::kCommit);
+    EXPECT_EQ(rec.updates.size(), std::min<size_t>(32, stream.size() - next));
+    for (const std::string& text : rec.updates) {
+      ASSERT_LT(next, stream.size());
+      EXPECT_EQ(text, stream[next++].toString());
+    }
+  }
+  EXPECT_EQ(next, stream.size());
 }
 
 // ---------------------------------------------------------------------------

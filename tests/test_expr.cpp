@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <random>
+#include <string>
+#include <vector>
 
 #include "expr/analysis.h"
 #include "expr/arena.h"
+#include "expr/canonical.h"
 #include "expr/eval.h"
 #include "expr/printer.h"
 #include "expr/substitute.h"
@@ -424,6 +428,58 @@ TEST_F(ExprTest, PinnedNodeDetectsReallocationAndRefreshes) {
   ASSERT_TRUE(pin.fresh());
   EXPECT_EQ(*pin, copy);
   EXPECT_EQ(pin->kind, copy.kind);
+}
+
+// The canonical hash is memoized per node, so a DAG costs one hash per node
+// however many paths reach it. Each of these 48 levels uses the level below
+// twice (bit-vector and boolean, through and/or chains), so as a tree the
+// roots would expand to about 2^48 leaves.
+TEST_F(ExprTest, CanonicalHashOfSharedDagIsLinear) {
+  ExprRef x = dp("x", 16);
+  ExprRef p = arena.boolVar("p", SymbolClass::kDataPlane);
+  for (int i = 0; i < 48; ++i) {
+    ExprRef k = dp(("k" + std::to_string(i)).c_str(), 16);
+    x = arena.add(x, arena.bvXor(x, k));
+    p = arena.bOr(arena.bAnd(p, arena.eq(x, k)),
+                  arena.bAnd(arena.bNot(p), arena.ult(x, k)));
+  }
+  auto start = std::chrono::steady_clock::now();
+  CanonicalHasher hasher(arena);
+  Hash128 hx = hasher.hash(x);
+  Hash128 hp = hasher.hash(p);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
+  EXPECT_NE(hx, hp);
+  EXPECT_EQ(CanonicalHasher(arena).hash(p), hp);
+}
+
+// Interning order decides the arena's operand order and and/or nesting; the
+// canonical hash flattens and sorts both away. Two arenas build
+// (p0 & p1 & p2) | (p3 & p4 & p5) interning and folding in opposite orders.
+TEST(CanonicalHash, AndOrChainsHashEqualAcrossConstructionOrder) {
+  auto build = [](ExprArena& a, const std::vector<int>& order,
+                  uint64_t lastConst) {
+    std::vector<ExprRef> preds(order.size());
+    for (int i : order) {
+      preds[i] = a.eq(a.var("f" + std::to_string(i), 8, SymbolClass::kDataPlane),
+                      a.bvConst(8, i == 5 ? lastConst : i + 1));
+    }
+    ExprRef low = a.boolConst(true), high = a.boolConst(true);
+    for (int i : order) {
+      ExprRef& chain = i < 3 ? low : high;
+      chain = a.bAnd(chain, preds[i]);
+    }
+    return order.front() < 3 ? a.bOr(low, high) : a.bOr(high, low);
+  };
+  const std::vector<int> forward = {0, 1, 2, 3, 4, 5};
+  const std::vector<int> backward = {5, 4, 3, 2, 1, 0};
+  ExprArena first, second, other;
+  ExprRef a = build(first, forward, 6);
+  ExprRef b = build(second, backward, 6);
+  ExprRef c = build(other, backward, 7);
+  ASSERT_NE(toString(first, a), toString(second, b))
+      << "the two construction orders built identical structure";
+  EXPECT_EQ(CanonicalHasher(first).hash(a), CanonicalHasher(second).hash(b));
+  EXPECT_NE(CanonicalHasher(first).hash(a), CanonicalHasher(other).hash(c));
 }
 
 }  // namespace

@@ -199,7 +199,7 @@ TEST(Fleet, KillMidStreamRecoversEveryDeviceJournal) {
     fc.drain();
     // Destroyed here with updates still to come and no checkpoint call —
     // the moral equivalent of SIGKILL mid-stream. Durability must come from
-    // the per-record journal fsyncs alone.
+    // the per-commit journal fsyncs alone.
   }
   FleetController recovered(checked, durable);
   uint64_t replayed = 0;

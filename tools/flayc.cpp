@@ -21,8 +21,10 @@
 //                                  controller, simulate SIGKILL at random
 //                                  points, recover from the write-ahead
 //                                  journal, and require the recovered state
-//                                  digest to match an uninterrupted run
-//                                  (non-zero exit on any mismatch)
+//                                  digest to match an uninterrupted run,
+//                                  both on recovery and on a second restart
+//                                  after finishing the run (non-zero exit
+//                                  on any mismatch)
 //   flayc fleet      <prog.p4l>    drive a fleet of N simulated devices:
 //                                  broadcast a fuzzed update stream to every
 //                                  device, drain the per-device queues
@@ -909,7 +911,7 @@ int cmdCrashtest(const p4::CheckedProgram& checked, const Options& opts) {
       for (size_t j = 0; j < k; ++j) applyOne(run, script[j]);
       // The controller is dropped here with no shutdown work — the moral
       // equivalent of SIGKILL. Durability must come entirely from the
-      // per-record journal fsyncs and any checkpoints already on disk.
+      // per-commit journal fsyncs and any checkpoints already on disk.
     }
     if (opts.tornTail) {
       // Simulate a write cut mid-record by the crash: recovery must treat
@@ -920,25 +922,40 @@ int cmdCrashtest(const p4::CheckedProgram& checked, const Options& opts) {
         std::fclose(f);
       }
     }
-    ctrl::FaultTolerantController recovered(checked, nullptr, copts);
-    replayedTotal += recovered.replayedUpdates();
-    if (recovered.stateDigest() != reference[k]) {
-      ++mismatches;
-      std::fprintf(stderr,
-                   "crashtest: MISMATCH after kill at update %zu: recovered "
-                   "state differs from the uninterrupted run\n",
-                   k);
-      continue;
+    {
+      ctrl::FaultTolerantController recovered(checked, nullptr, copts);
+      replayedTotal += recovered.replayedUpdates();
+      if (recovered.stateDigest() != reference[k]) {
+        ++mismatches;
+        std::fprintf(stderr,
+                     "crashtest: MISMATCH after kill at update %zu: recovered "
+                     "state differs from the uninterrupted run\n",
+                     k);
+        continue;
+      }
+      // A recovered controller must also accept the rest of the script
+      // identically — recovery may not corrupt the id allocators or the
+      // incremental analysis state it resumes from.
+      for (size_t j = k; j < script.size(); ++j) {
+        applyOne(recovered, script[j]);
+      }
+      if (recovered.stateDigest() != reference.back()) {
+        ++mismatches;
+        std::fprintf(stderr,
+                     "crashtest: MISMATCH finishing the script after recovery "
+                     "at update %zu\n",
+                     k);
+        continue;
+      }
     }
-    // A recovered controller must also accept the rest of the script
-    // identically — recovery may not corrupt the id allocators or the
-    // incremental analysis state it resumes from.
-    for (size_t j = k; j < script.size(); ++j) applyOne(recovered, script[j]);
-    if (recovered.stateDigest() != reference.back()) {
+    // What the recovered controller committed must survive a restart too:
+    // its journal continues the one it recovered from (torn tail included).
+    ctrl::FaultTolerantController restarted(checked, nullptr, copts);
+    if (restarted.stateDigest() != reference.back()) {
       ++mismatches;
       std::fprintf(stderr,
-                   "crashtest: MISMATCH finishing the script after recovery "
-                   "at update %zu\n",
+                   "crashtest: MISMATCH after a second restart following "
+                   "recovery at update %zu\n",
                    k);
     }
   }
