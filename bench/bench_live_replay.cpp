@@ -19,11 +19,6 @@
 //   bench_live_replay matrix    the nightly churn matrix on top: traffic
 //                               mixes x fault plans x 4 programs, shallow
 //   bench_live_replay quick     CI smoke: the deep scenarios at ~1% depth
-//   bench_live_replay sockets   the deep scenarios over the socket transport
-//                               (per-device wire-protocol agents), reported
-//                               as BENCH_wire_fleet.json — same hard gates,
-//                               so the wire path is held to identical
-//                               packet-level SLOs as the in-process path
 
 #include <cstdio>
 #include <cstring>
@@ -55,8 +50,6 @@ struct Scenario {
   double churnRate = 0;
 };
 
-bool useSockets = false;
-
 replay::ReplayOptions optionsFor(const Scenario& s, size_t scale) {
   replay::ReplayOptions ropts;
   ropts.devices = s.devices;
@@ -75,7 +68,6 @@ replay::ReplayOptions optionsFor(const Scenario& s, size_t scale) {
   ropts.maxRecoveryRounds = 20000;
   ropts.controller.specializer.jobs = 1;
   ropts.deviceCompiler.searchIterations = 64;
-  if (useSockets) ropts.transport = flay::fleet::Transport::kSocket;
   return ropts;
 }
 
@@ -113,11 +105,8 @@ int main(int argc, char** argv) {
       matrix = true;
     } else if (std::strcmp(argv[i], "quick") == 0) {
       scale = 100;
-    } else if (std::strcmp(argv[i], "sockets") == 0) {
-      useSockets = true;
     } else {
-      std::fprintf(stderr,
-                   "usage: bench_live_replay [matrix] [quick] [sockets]\n");
+      std::fprintf(stderr, "usage: bench_live_replay [matrix] [quick]\n");
       return 2;
     }
   }
@@ -173,9 +162,7 @@ int main(int argc, char** argv) {
 
   metrics.emplace_back("total_packets", static_cast<double>(totalPackets));
   metrics.emplace_back("gate_failures", static_cast<double>(failures.size()));
-  // The socket-transport soak reports under its own name so nightly trend
-  // lines for the wire path never mix with the in-process baseline.
-  obs::writeBenchReport(useSockets ? "wire_fleet" : "live_replay", metrics);
+  obs::writeBenchReport("live_replay", metrics);
 
   if (!failures.empty()) {
     std::fprintf(stderr, "\nbench_live_replay: FAILED — %zu gate violation(s)\n",

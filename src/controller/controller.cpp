@@ -3,12 +3,11 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <stdexcept>
-#include <thread>
 
 #include "expr/printer.h"
 #include "obs/obs.h"
+#include "support/backoff.h"
 
 namespace flay::controller {
 
@@ -68,16 +67,7 @@ FaultTolerantController::FaultTolerantController(
     recoverFromJournal();
     journal_->open();
   }
-  if (options_.ifcPolicy.has_value()) {
-    // Attach after recovery: the baseline recheck covers the recovered
-    // state, and violations already present there are journaled once (the
-    // log carries no trusted verdicts — see appendIfcViolation).
-    ifc_ = std::make_shared<ifc::IfcEngine>(*service_, *options_.ifcPolicy);
-    service_->attachAnalysis(ifc_);
-    ifc_->recheck();
-    journalIfcViolations();
-  }
-  if (device_ != nullptr && options_.installInitialProgram) {
+  if (device_ != nullptr) {
     size_t retries = 0;
     if (!recompileAndInstall(&retries)) {
       // Device keeps its boot-time program (the original, empty config).
@@ -109,9 +99,7 @@ void FaultTolerantController::recoverFromJournal() {
   }
 
   // Each commit record is one transaction that was applied in memory before
-  // it was written, so its text parses and it replays as one batch. IFC
-  // records are audit-only: verdicts are re-derived from the recovered state
-  // by the engine attached after replay, never trusted from the log.
+  // it was written, so its text parses and it replays as one batch.
   for (size_t i = baseIndex; i < records.size(); ++i) {
     if (records[i].type != JournalRecord::Type::kCommit) continue;
     std::vector<runtime::Update> batch;
@@ -124,24 +112,6 @@ void FaultTolerantController::recoverFromJournal() {
     committedUpdates_.fetch_add(batch.size(), std::memory_order_relaxed);
     sinceCheckpoint_ += batch.size();
     ControllerObs::get().replayed.add(batch.size());
-  }
-}
-
-void FaultTolerantController::journalIfcViolations() {
-  if (ifc_ == nullptr) return;
-  for (const auto& flow : ifc_->lastReport().flows) {
-    const std::string key = flow.label + " -> " + flow.sink;
-    bool& wasViolating = ifcViolating_[key];
-    const bool violating = flow.isViolation();
-    if (violating && !wasViolating) {
-      ++ifcViolationEvents_;
-      obs::Registry::global().counter("controller.ifc_violations").add(1);
-      if (journal_ != nullptr && journal_->isOpen()) {
-        journal_->appendIfcViolation(key + ": " +
-                                     ifc::toString(flow.status));
-      }
-    }
-    wasViolating = violating;
   }
 }
 
@@ -180,9 +150,6 @@ ApplyResult FaultTolerantController::applyBatch(
   committedUpdates_.fetch_add(updates.size(), std::memory_order_relaxed);
   sinceCheckpoint_ += updates.size();
   cobs.applied.add(updates.size());
-  // The attached IFC engine already re-verified its flows inside the apply
-  // (analysis notification); journal any flow that just turned violating.
-  journalIfcViolations();
   // The verdict is ready here; the lag clock runs until this step becomes
   // device-visible (entries forwarded or a recompiled program installed).
   support::Stopwatch lag;
@@ -284,7 +251,6 @@ BulkApplyResult FaultTolerantController::applyBulk(
         committedUpdates_.fetch_add(chunk.applied, std::memory_order_relaxed);
         sinceCheckpoint_ += chunk.applied;
         cobs.applied.add(chunk.applied);
-        journalIfcViolations();
         if (device_ != nullptr) {
           applied.insert(applied.end(), chunk.appliedUpdates.begin(),
                          chunk.appliedUpdates.end());
@@ -354,11 +320,9 @@ bool FaultTolerantController::recompileAndInstall(size_t* retries) {
     if (attempt > 0) {
       *retries += 1;
       cobs.retries.add(1);
-      uint64_t delay = backoffMicros(attempt);
-      cobs.backoffUs.record(delay);
-      if (options_.sleepOnBackoff) {
-        std::this_thread::sleep_for(std::chrono::microseconds(delay));
-      }
+      cobs.backoffUs.record(support::backoffMicros(
+          options_.backoffBaseMicros, options_.backoffMaxMicros, attempt,
+          jitterRng_));
     }
     tofino::CompileResult compiled = device_->compileProgram(*checked);
     if (!compiled.fits) continue;
@@ -457,15 +421,6 @@ void FaultTolerantController::checkpointNow() {
 void FaultTolerantController::maybeCheckpoint() {
   if (journal_ == nullptr || options_.checkpointEvery == 0) return;
   if (sinceCheckpoint_ >= options_.checkpointEvery) checkpointNow();
-}
-
-uint64_t FaultTolerantController::backoffMicros(uint32_t attempt) {
-  uint64_t base = options_.backoffBaseMicros == 0 ? 1 : options_.backoffBaseMicros;
-  uint64_t exp = attempt >= 63 ? options_.backoffMaxMicros
-                               : base << (attempt - 1);
-  uint64_t capped = std::min(exp, options_.backoffMaxMicros);
-  std::uniform_int_distribution<uint64_t> jitter(0, base - 1);
-  return capped + jitter(jitterRng_);
 }
 
 std::string FaultTolerantController::stateDigest() const {

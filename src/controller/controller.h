@@ -3,9 +3,8 @@
 
 #include <atomic>
 #include <functional>
-#include <map>
 #include <memory>
-#include <optional>
+#include <random>
 #include <set>
 #include <string>
 #include <vector>
@@ -14,7 +13,6 @@
 #include "controller/wal.h"
 #include "flay/engine.h"
 #include "flay/specializer.h"
-#include "ifc/ifc.h"
 #include "support/stopwatch.h"
 
 namespace flay::controller {
@@ -28,27 +26,18 @@ struct ControllerOptions {
   /// Install/compile attempts beyond the first before giving up and
   /// degrading.
   uint32_t maxInstallRetries = 4;
-  /// Exponential backoff between attempts: min(base << attempt, max) plus
-  /// jitter in [0, base). Recorded in controller.backoff_us; only actually
-  /// slept when sleepOnBackoff (tests keep the schedule observable without
-  /// paying it in wall-clock).
+  /// Exponential backoff between attempts (support::backoffMicros:
+  /// min(base << (n-1), max) plus jitter in [0, base)). Recorded in
+  /// controller.backoff_us, never slept: the simulated device has nothing
+  /// to wait for, and the schedule stays observable without wall-clock.
   uint64_t backoffBaseMicros = 200;
   uint64_t backoffMaxMicros = 50000;
-  bool sleepOnBackoff = false;
   /// While degraded, a recovery (re-specialize + compile + install) is
   /// attempted automatically after this many committed updates (0 = only
   /// on explicit tryRecover()).
   size_t tryRecoverEvery = 8;
-  /// Compile-and-install the current program at construction time (and
-  /// after crash recovery). Disable for pure journal/replay use.
-  bool installInitialProgram = true;
   /// Jitter seed.
   uint64_t seed = 1;
-  /// When set, an ifc::IfcEngine is attached to the service: every
-  /// committed apply re-verifies the policy's flows on the incremental hot
-  /// path, and each flow transitioning into violation is journaled as an
-  /// "ifc" audit record.
-  std::optional<ifc::IfcPolicy> ifcPolicy;
   flay::FlayOptions flay;
   flay::SpecializerOptions specializer;
 };
@@ -121,10 +110,12 @@ struct ApplyResult {
 /// original program under the device-visible config.
 class FaultTolerantController {
  public:
-  /// `device` may be null (no device interaction: analysis + WAL only).
-  /// If options.stateDir holds a journal from a previous run, the
-  /// constructor performs crash recovery before accepting new updates; a
-  /// corrupt journal makes it throw std::runtime_error.
+  /// `device` may be null (no device interaction: analysis + WAL only);
+  /// otherwise the current program is compiled and installed at
+  /// construction, after any crash recovery. If options.stateDir holds a
+  /// journal from a previous run, the constructor performs crash recovery
+  /// before accepting new updates; a corrupt journal makes it throw
+  /// std::runtime_error.
   FaultTolerantController(const p4::CheckedProgram& checked, Device* device,
                           ControllerOptions options = {});
 
@@ -192,15 +183,6 @@ class FaultTolerantController {
   /// Forces a checkpoint of the current committed state.
   void checkpointNow();
 
-  /// Per-update IFC report of the attached engine; null when
-  /// options.ifcPolicy was not set.
-  const ifc::IfcReport* lastIfcReport() const {
-    return ifc_ != nullptr ? &ifc_->lastReport() : nullptr;
-  }
-  /// Flow transitions into violation observed (and journaled) so far. A
-  /// flow that clears and re-violates counts again.
-  uint64_t ifcViolationEvents() const { return ifcViolationEvents_; }
-
   /// Process-independent digest of the full controller-visible state
   /// (config including entry ids and allocator positions, plus every
   /// specialized program-point expression). Two controllers with equal
@@ -216,11 +198,7 @@ class FaultTolerantController {
   void enterDegraded(runtime::DeviceConfig deviceCfg,
                      const std::vector<runtime::Update>& updates);
   void queueUpdates(const std::vector<runtime::Update>& updates);
-  uint64_t backoffMicros(uint32_t attempt);
   void maybeCheckpoint();
-  /// Journals every flow that transitioned into violation since the last
-  /// call (no-op without an attached IFC engine).
-  void journalIfcViolations();
   /// Builds and dispatches one EpochEvent (and records the install-lag
   /// histogram sample when visibility advanced).
   void fireEpoch(bool advanced, bool viaRecompile, bool recovery,
@@ -240,13 +218,6 @@ class FaultTolerantController {
   /// forwardability. Lazily built on first degradation.
   std::unique_ptr<flay::FlayService> deviceView_;
   bool degraded_ = false;
-  /// Attached when options.ifcPolicy is set; shares ownership with the
-  /// service's analysis list.
-  std::shared_ptr<ifc::IfcEngine> ifc_;
-  /// Last seen violation state per "label -> sink" flow, for edge-triggered
-  /// journaling.
-  std::map<std::string, bool> ifcViolating_;
-  uint64_t ifcViolationEvents_ = 0;
   std::vector<runtime::Update> queued_;
   std::set<std::string> queuedTargets_;
   std::mt19937_64 jitterRng_;

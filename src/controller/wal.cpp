@@ -87,9 +87,6 @@ bool parseLine(std::string_view line, JournalRecord* rec) {
   } else if (type == "checkpoint") {
     rec->type = JournalRecord::Type::kCheckpoint;
     if (!p.literal(",\"file\":") || !p.quoted(&rec->file)) return false;
-  } else if (type == "ifc") {
-    rec->type = JournalRecord::Type::kIfcViolation;
-    if (!p.literal(",\"text\":") || !p.quoted(&rec->text)) return false;
   } else {
     return false;
   }
@@ -181,10 +178,6 @@ uint64_t Journal::appendCommit() {
 uint64_t Journal::appendCheckpoint(const std::string& checkpointFile) {
   return append("\"type\":\"checkpoint\",\"file\":\"" +
                 jsonEscape(checkpointFile) + "\"");
-}
-
-uint64_t Journal::appendIfcViolation(const std::string& flowText) {
-  return append("\"type\":\"ifc\",\"text\":\"" + jsonEscape(flowText) + "\"");
 }
 
 std::vector<JournalRecord> Journal::load(const std::string& path) {

@@ -13,12 +13,11 @@ namespace flay::controller {
 /// One journal record. The journal is JSONL, one JSON object per line:
 /// {"seq":4,"type":"commit","updates":["insert Ingress.fwd [...] -> ..."]}.
 struct JournalRecord {
-  enum class Type { kCommit, kCheckpoint, kIfcViolation };
+  enum class Type { kCommit, kCheckpoint };
   Type type = Type::kCommit;
   uint64_t seq = 0;
   /// kCommit: the transaction's updates as Update wire text, in apply order.
   std::vector<std::string> updates;
-  std::string text;  // kIfcViolation: flow line
   std::string file;  // kCheckpoint: checkpoint file name (relative to dir)
 };
 
@@ -49,11 +48,6 @@ class Journal {
   /// Writes the staged transaction as one commit record.
   uint64_t appendCommit();
   uint64_t appendCheckpoint(const std::string& checkpointFile);
-  /// Journals an information-flow violation surfaced by the IFC analysis
-  /// after a committed apply. Purely an audit record: replay ignores it
-  /// (verdicts are re-derived from the recovered state, not trusted from
-  /// the log).
-  uint64_t appendIfcViolation(const std::string& flowText);
 
   uint64_t lastSeq() const { return seq_; }
   const std::string& path() const { return path_; }

@@ -97,42 +97,6 @@ bool AgentEndpoint::handleBatch(const wire::Frame& f) {
   return true;
 }
 
-bool AgentEndpoint::handleBulk(const wire::Frame& f) {
-  wire::BulkChunk chunk = wire::decodeBulkChunk(f.payload);
-  bulkTexts_.insert(bulkTexts_.end(), chunk.updates.begin(),
-                    chunk.updates.end());
-  if (!chunk.last) return true;
-
-  std::vector<runtime::Update> updates;
-  updates.reserve(bulkTexts_.size());
-  for (const std::string& text : bulkTexts_) {
-    try {
-      updates.push_back(runtime::Update::fromString(checked_, text));
-    } catch (const std::invalid_argument& e) {
-      bulkTexts_.clear();
-      return protocolError(wire::kErrBadUpdate,
-                           std::string("undecodable bulk update: ") + e.what());
-    }
-  }
-  bulkTexts_.clear();
-
-  flay::BulkLoadOptions opts;
-  if (chunk.chunkSize > 0) opts.chunkSize = chunk.chunkSize;
-  controller::BulkApplyResult r = ctl_.applyBulk(updates, opts);
-  ++stats_.bulkLoads;
-  stats_.applied += r.report.applied;
-  stats_.rejected += r.report.rejected;
-  stats_.retries += r.retries;
-
-  wire::BulkReply reply;
-  reply.applied = r.report.applied;
-  reply.rejected = r.report.rejected;
-  reply.retries = r.retries;
-  reply.degraded = r.degraded;
-  channel_.send(wire::FrameType::kBulkReply, wire::encode(reply));
-  return true;
-}
-
 bool AgentEndpoint::serve() {
   try {
     wire::Hello hello;
@@ -162,9 +126,6 @@ bool AgentEndpoint::serve() {
         case wire::FrameType::kBatch:
           if (!handleBatch(f)) return false;
           break;
-        case wire::FrameType::kBulk:
-          if (!handleBulk(f)) return false;
-          break;
         case wire::FrameType::kDigestRequest: {
           wire::DigestReply reply;
           reply.digest = ctl_.stateDigest();
@@ -174,17 +135,6 @@ bool AgentEndpoint::serve() {
           channel_.send(wire::FrameType::kDigestReply, wire::encode(reply));
           break;
         }
-        case wire::FrameType::kRecover: {
-          wire::RecoverReply reply;
-          reply.recovered = ctl_.tryRecover();
-          reply.degraded = ctl_.degraded();
-          channel_.send(wire::FrameType::kRecoverReply, wire::encode(reply));
-          break;
-        }
-        case wire::FrameType::kCheckpoint:
-          ctl_.checkpointNow();
-          channel_.send(wire::FrameType::kCheckpointAck, {});
-          break;
         case wire::FrameType::kBye:
           channel_.send(wire::FrameType::kByeAck, {});
           return true;
@@ -230,15 +180,6 @@ AgentLink::~AgentLink() = default;
 void AgentLink::die(const std::string& why) {
   dead_ = true;
   if (deathReason_.empty()) deathReason_ = why;
-  // Keep exactly the unacknowledged tail in pending_ so the caller can count
-  // what was lost on this link.
-  uint64_t firstPendingSeq = seq_ - pending_.size() + 1;
-  if (ackedSeq_ + 1 > firstPendingSeq) {
-    size_t acked = static_cast<size_t>(ackedSeq_ + 1 - firstPendingSeq);
-    acked = std::min(acked, pending_.size());
-    pending_.erase(pending_.begin(),
-                   pending_.begin() + static_cast<ptrdiff_t>(acked));
-  }
   fd_.reset();
   throw wire::WireError(label_ + ": " + why);
 }
@@ -502,64 +443,6 @@ wire::DigestReply AgentLink::digest() {
   }
 }
 
-wire::RecoverReply AgentLink::recover() {
-  if (!alive()) {
-    throw wire::WireError(label_ + ": link is dead (" + deathReason_ + ")");
-  }
-  writeAllBlocking(wire::encodeFrame(wire::FrameType::kRecover, {}));
-  wire::Frame f = waitFrame(wire::FrameType::kRecoverReply, timeoutMs_);
-  try {
-    return wire::decodeRecoverReply(f.payload);
-  } catch (const wire::WireError&) {
-    if (!dead_) die("undecodable recover reply");
-    throw;
-  }
-}
-
-void AgentLink::checkpoint() {
-  if (!alive()) {
-    throw wire::WireError(label_ + ": link is dead (" + deathReason_ + ")");
-  }
-  writeAllBlocking(wire::encodeFrame(wire::FrameType::kCheckpoint, {}));
-  waitFrame(wire::FrameType::kCheckpointAck, timeoutMs_);
-}
-
-wire::BulkReply AgentLink::bulk(const std::vector<std::string>& texts,
-                                uint64_t chunkSize) {
-  if (!alive()) {
-    throw wire::WireError(label_ + ": link is dead (" + deathReason_ + ")");
-  }
-  // Stream in frame-sized chunks well below kMaxPayload. The agent only
-  // replies after `last`, and reads every chunk as it arrives, so blocking
-  // writes here cannot deadlock.
-  constexpr size_t kMaxChunkBytes = 1u << 20;
-  constexpr size_t kMaxChunkUpdates = 4096;
-  size_t i = 0;
-  bool sentLast = false;
-  while (!sentLast) {
-    wire::BulkChunk chunk;
-    chunk.chunkSize = chunkSize;
-    size_t bytes = 0;
-    while (i < texts.size() && chunk.updates.size() < kMaxChunkUpdates &&
-           bytes < kMaxChunkBytes) {
-      bytes += texts[i].size() + 4;
-      chunk.updates.push_back(texts[i]);
-      ++i;
-    }
-    chunk.last = i == texts.size();
-    sentLast = chunk.last;
-    writeAllBlocking(wire::encodeFrame(wire::FrameType::kBulk,
-                                       wire::encode(chunk)));
-  }
-  wire::Frame f = waitFrame(wire::FrameType::kBulkReply, timeoutMs_);
-  try {
-    return wire::decodeBulkReply(f.payload);
-  } catch (const wire::WireError&) {
-    if (!dead_) die("undecodable bulk reply");
-    throw;
-  }
-}
-
 void AgentLink::bye() {
   if (!alive()) {
     fd_.reset();
@@ -572,12 +455,6 @@ void AgentLink::bye() {
     // Best-effort shutdown: a dead agent cannot ack a goodbye.
   }
   fd_.reset();
-}
-
-void AgentLink::disconnect() {
-  fd_.reset();
-  dead_ = true;
-  if (deathReason_.empty()) deathReason_ = "disconnected (fault injection)";
 }
 
 }  // namespace flay::fleet

@@ -6,9 +6,9 @@
 // AgentEndpoint is the agent side: it owns the serve loop over one framed
 // connection, decoding update batches back into runtime::Update (the same
 // schema-directed fromString the journal uses) and driving one
-// FaultTolerantController. It runs identically as a thread on the far end
-// of a socketpair (FleetController's socket transport) or as the body of a
-// separate `flayc agent` process connected over a Unix-domain socket.
+// FaultTolerantController. It is the body of a `flayc agent` process
+// connected to `flayc daemon` over a Unix-domain socket; tests run it on a
+// thread at the far end of a socketpair.
 //
 // AgentLink is the daemon side: a nonblocking descriptor with pipelined
 // batch writes and batched acks — up to windowBatches batch frames are in
@@ -40,7 +40,6 @@ struct AgentStats {
   uint64_t applied = 0;
   uint64_t rejected = 0;
   uint64_t retries = 0;
-  uint64_t bulkLoads = 0;
 };
 
 /// Agent side of one link. serve() blocks until the daemon says kBye or
@@ -62,7 +61,6 @@ class AgentEndpoint {
 
  private:
   bool handleBatch(const wire::Frame& f);
-  bool handleBulk(const wire::Frame& f);
   bool protocolError(uint32_t code, const std::string& detail);
   wire::Ack currentAck(uint64_t upToSeq) const;
 
@@ -74,13 +72,12 @@ class AgentEndpoint {
   std::string fingerprint_;
   AgentStats stats_;
   std::string lastError_;
-  std::vector<std::string> bulkTexts_;  // chunks buffered until `last`
 };
 
 /// Daemon side of one link: pipelined, windowed batch writes over a
 /// nonblocking descriptor. Every method that touches the wire throws
 /// WireError if the link is (or becomes) dead; after a throw the link stays
-/// dead — `pending()` then counts the updates that were never acknowledged.
+/// dead.
 class AgentLink {
  public:
   AgentLink(wire::Fd fd, std::string label, size_t batchSize = 32,
@@ -96,7 +93,6 @@ class AgentLink {
   void reject(const std::string& why);  // sends HelloAck{false}; closes
 
   void enqueue(std::string updateText);
-  size_t pending() const { return pending_.size(); }
 
   /// Per-flush deltas (acks carry cumulative counters; flush() differences
   /// them so callers can fold results into their own accounting).
@@ -117,16 +113,9 @@ class AgentLink {
   FlushDelta flush();
 
   wire::DigestReply digest();
-  wire::RecoverReply recover();
-  void checkpoint();
-  wire::BulkReply bulk(const std::vector<std::string>& texts,
-                       uint64_t chunkSize);
 
   /// Best-effort clean shutdown (kBye / kByeAck); always closes.
   void bye();
-  /// Abrupt close — fault injection: the daemon dies mid-stream. The agent
-  /// sees EOF; anything unacknowledged is gone.
-  void disconnect();
 
   bool alive() const { return fd_.valid() && !dead_; }
   const std::string& label() const { return label_; }

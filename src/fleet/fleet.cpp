@@ -4,15 +4,12 @@
 
 #include <atomic>
 #include <functional>
-#include <iterator>
 #include <stdexcept>
-#include <thread>
 
 #include "expr/canonical.h"
-#include "fleet/agent.h"
 #include "obs/obs.h"
+#include "support/backoff.h"
 #include "support/stopwatch.h"
-#include "wire/socket.h"
 
 namespace flay::fleet {
 
@@ -40,12 +37,6 @@ struct FleetObs {
   obs::Histogram& initUs = reg.histogram("fleet.device_init_us");
   obs::Histogram& readmissionBackoffUs =
       reg.histogram("fleet.readmission_backoff_us");
-  /// Socket transport: batch frames written, raw bytes each way, and
-  /// replicated-digest coherence checks (wire digest vs local state).
-  obs::Counter& wireBatches = reg.counter("fleet.wire_batches");
-  obs::Counter& wireBytesOut = reg.counter("fleet.wire_bytes_out");
-  obs::Counter& wireBytesIn = reg.counter("fleet.wire_bytes_in");
-  obs::Counter& wireDigestChecks = reg.counter("fleet.wire_digest_checks");
 
   static FleetObs& get() {
     static FleetObs instance;
@@ -84,16 +75,6 @@ struct FleetController::Member {
   uint64_t nextRecoverAtMicros = 0;
   std::mt19937_64 recoverRng{1};
 
-  // Socket transport: the agent side of this member's socketpair runs in
-  // agentThread (AgentEndpoint::serve over `endpoint`); the daemon side is
-  // `link`. wireMu serializes every daemon-side use of the link (drain,
-  // digest, recover, checkpoint, bulk can come from different pool workers
-  // across calls). All null/unused on the in-process transport.
-  std::unique_ptr<AgentEndpoint> endpoint;
-  std::unique_ptr<AgentLink> link;
-  std::thread agentThread;
-  mutable std::mutex wireMu;
-
   obs::Counter* appliedCounter = nullptr;   // fleet.<name>.applied_updates
   obs::Counter* rejectedCounter = nullptr;  // fleet.<name>.rejected_updates
   obs::Counter* droppedCounter = nullptr;   // fleet.<name>.dropped_updates
@@ -107,9 +88,6 @@ FleetController::FleetController(const p4::CheckedProgram& checked,
     pool_ = std::make_unique<support::ThreadPool>(options_.jobs - 1);
   }
   if (!options_.stateDirRoot.empty()) ensureDir(options_.stateDirRoot);
-  if (options_.transport == Transport::kSocket) {
-    programFingerprint_ = programFingerprint(checked);
-  }
 
   obs::Registry& reg = obs::Registry::global();
   members_.reserve(options_.devices);
@@ -140,43 +118,13 @@ FleetController::FleetController(const p4::CheckedProgram& checked,
           copts.stateDir = options_.stateDirRoot + "/" + m.name;
         }
         copts.seed = options_.controller.seed + i;
-        if (options_.attachDevices) {
-          controller::FaultPlan plan = options_.faultPlan;
-          plan.seed = options_.faultPlan.seed + i;
-          m.device = std::make_unique<controller::SimulatedDevice>(
-              plan, options_.deviceModel, options_.deviceCompiler);
-        }
-        uint64_t ctlSeed = copts.seed;
+        controller::FaultPlan plan = options_.faultPlan;
+        plan.seed = options_.faultPlan.seed + i;
+        m.device = std::make_unique<controller::SimulatedDevice>(
+            plan, options_.deviceModel, options_.deviceCompiler);
         m.ctl = std::make_unique<controller::FaultTolerantController>(
             checked, m.device.get(), std::move(copts));
         m.degraded.store(m.ctl->degraded(), std::memory_order_relaxed);
-        if (options_.transport == Transport::kSocket) {
-          // Stand the member's agent up on the far end of a socketpair:
-          // same controller object, but every update now crosses the wire.
-          auto fds = wire::socketPair();
-          m.endpoint = std::make_unique<AgentEndpoint>(
-              checked, *m.ctl, wire::FrameChannel(std::move(fds.second)),
-              m.name, ctlSeed);
-          m.agentThread = std::thread([ep = m.endpoint.get()] {
-            try {
-              ep->serve();
-            } catch (...) {
-              // serve() reports failures through its return value and the
-              // kError frame it already sent; nothing may escape a thread.
-            }
-          });
-          m.link = std::make_unique<AgentLink>(
-              std::move(fds.first), m.name, options_.wireBatchSize,
-              options_.wireWindowBatches);
-          wire::Hello hello = m.link->handshake();
-          if (hello.programFingerprint != programFingerprint_) {
-            m.link->reject("program fingerprint mismatch: daemon runs " +
-                           programFingerprint_);
-            throw std::runtime_error("agent " + m.name +
-                                     " presented a different program");
-          }
-          m.link->accept();
-        }
       } catch (const std::exception& e) {
         m.initError = e.what();
         m.failed.store(true, std::memory_order_relaxed);
@@ -195,21 +143,7 @@ FleetController::FleetController(const p4::CheckedProgram& checked,
   fobs.degradedGauge.add(degradedDevices());
 }
 
-void FleetController::shutdownLinks() {
-  for (auto& mp : members_) {
-    Member& m = *mp;
-    if (m.link != nullptr) {
-      std::lock_guard<std::mutex> lock(m.wireMu);
-      try {
-        m.link->bye();  // closes the fd either way; agent sees EOF/ByeAck
-      } catch (...) {
-      }
-    }
-    if (m.agentThread.joinable()) m.agentThread.join();
-  }
-}
-
-FleetController::~FleetController() { shutdownLinks(); }
+FleetController::~FleetController() = default;
 
 const std::string& FleetController::deviceName(size_t device) const {
   return members_.at(device)->name;
@@ -250,42 +184,21 @@ FleetController::BulkBroadcastResult FleetController::broadcastBulk(
   FleetObs& fobs = FleetObs::get();
   std::mutex rmu;
   BulkBroadcastResult result;
-  // Socket transport streams texts; render them once for every member.
-  std::shared_ptr<std::vector<std::string>> texts;
-  if (options_.transport == Transport::kSocket) {
-    texts = std::make_shared<std::vector<std::string>>();
-    texts->reserve(updates.size());
-    for (const runtime::Update& u : updates) texts->push_back(u.toString());
-  }
   std::vector<std::function<void()>> tasks;
   for (auto& mp : members_) {
     Member& m = *mp;
     if (m.failed.load(std::memory_order_relaxed) || m.ctl == nullptr) {
       continue;
     }
-    tasks.push_back([&, this, texts] {
+    tasks.push_back([&] {
       try {
-        uint64_t applied = 0, rejected = 0, retries = 0;
-        bool degraded = false;
-        if (options_.transport == Transport::kSocket && m.link != nullptr &&
-            m.link->alive()) {
-          std::lock_guard<std::mutex> lock(m.wireMu);
-          wire::BulkReply r = m.link->bulk(*texts, options.chunkSize);
-          applied = r.applied;
-          rejected = r.rejected;
-          retries = r.retries;
-          degraded = r.degraded;
-        } else {
-          controller::BulkApplyResult r = m.ctl->applyBulk(updates, options);
-          applied = r.report.applied;
-          rejected = r.report.rejected;
-          retries = r.retries;
-          degraded = r.degraded;
-        }
+        controller::BulkApplyResult r = m.ctl->applyBulk(updates, options);
+        uint64_t applied = r.report.applied;
+        uint64_t rejected = r.report.rejected;
         m.applied.fetch_add(applied, std::memory_order_relaxed);
-        m.retries.fetch_add(retries, std::memory_order_relaxed);
+        m.retries.fetch_add(r.retries, std::memory_order_relaxed);
         m.rejected.fetch_add(rejected, std::memory_order_relaxed);
-        m.degraded.store(degraded, std::memory_order_relaxed);
+        m.degraded.store(r.degraded, std::memory_order_relaxed);
         m.appliedCounter->add(applied);
         m.rejectedCounter->add(rejected);
         fobs.applied.add(applied);
@@ -352,56 +265,10 @@ void FleetController::drainMember(Member& m) {
   }
 }
 
-void FleetController::drainMemberSocket(Member& m) {
-  FleetObs& fobs = FleetObs::get();
-  // Swap the queue out whole: enqueue() stays wait-free against the flush,
-  // and within the member order is preserved (batches carry queue order).
-  std::vector<runtime::Update> batch;
-  {
-    std::lock_guard<std::mutex> lock(m.qmu);
-    batch.assign(std::make_move_iterator(m.queue.begin()),
-                 std::make_move_iterator(m.queue.end()));
-    m.queue.clear();
-  }
-  if (batch.empty()) return;
-  std::lock_guard<std::mutex> wlock(m.wireMu);
-  try {
-    for (const runtime::Update& u : batch) m.link->enqueue(u.toString());
-    AgentLink::FlushDelta delta = m.link->flush();
-    m.applied.fetch_add(delta.applied, std::memory_order_relaxed);
-    m.rejected.fetch_add(delta.rejected, std::memory_order_relaxed);
-    m.retries.fetch_add(delta.retries, std::memory_order_relaxed);
-    m.degraded.store(delta.degraded, std::memory_order_relaxed);
-    m.appliedCounter->add(delta.applied);
-    m.rejectedCounter->add(delta.rejected);
-    fobs.applied.add(delta.applied);
-    fobs.rejected.add(delta.rejected);
-    fobs.wireBatches.add(delta.batches);
-    fobs.wireBytesOut.add(delta.bytesOut);
-    fobs.wireBytesIn.add(delta.bytesIn);
-  } catch (const wire::WireError&) {
-    // The link is broken (agent error frame, bad stream, dead socket):
-    // same quarantine contract as drainMember, with the unacknowledged
-    // wire tail counted as dropped — those updates were never committed.
-    m.failed.store(true, std::memory_order_relaxed);
-    fobs.deviceFailures.add(1);
-    size_t lost = m.link->pending();
-    {
-      std::lock_guard<std::mutex> lock(m.qmu);
-      lost += m.queue.size();
-      m.queue.clear();
-    }
-    m.dropped.fetch_add(lost, std::memory_order_relaxed);
-    m.droppedCounter->add(lost);
-    fobs.dropped.add(lost);
-  }
-}
-
 void FleetController::drain() {
   FleetObs& fobs = FleetObs::get();
   obs::ScopedTimer timer(fobs.drainUs, "fleet.drain");
   fobs.drains.add(1);
-  const bool socket = options_.transport == Transport::kSocket;
   for (;;) {
     std::vector<std::function<void()>> tasks;
     for (auto& mp : members_) {
@@ -414,13 +281,7 @@ void FleetController::drain() {
       }
       if (depth == 0) continue;
       fobs.queueDepth.record(depth);
-      tasks.push_back([this, &m, socket] {
-        if (socket) {
-          drainMemberSocket(m);
-        } else {
-          drainMember(m);
-        }
-      });
+      tasks.push_back([this, &m] { drainMember(m); });
     }
     if (tasks.empty()) break;  // every queue empty (or its device failed)
     if (pool_ != nullptr) {
@@ -460,18 +321,8 @@ size_t FleetController::tryRecoverAll() {
       fobs.readmissionAttempts.add(1);
       bool ok = false;
       try {
-        if (options_.transport == Transport::kSocket && m.link != nullptr &&
-            m.link->alive()) {
-          // Route the attempt over the wire: the agent runs tryRecover()
-          // and reports back (same call it makes for an external daemon).
-          std::lock_guard<std::mutex> lock(m.wireMu);
-          wire::RecoverReply r = m.link->recover();
-          ok = r.recovered;
-          m.degraded.store(r.degraded, std::memory_order_relaxed);
-        } else {
-          ok = m.ctl->tryRecover();
-          m.degraded.store(m.ctl->degraded(), std::memory_order_relaxed);
-        }
+        ok = m.ctl->tryRecover();
+        m.degraded.store(m.ctl->degraded(), std::memory_order_relaxed);
       } catch (const std::exception&) {
         m.failed.store(true, std::memory_order_relaxed);
         fobs.deviceFailures.add(1);
@@ -488,14 +339,10 @@ size_t FleetController::tryRecoverAll() {
         fobs.readmissionGiveups.add(1);
         return;
       }
-      uint64_t base =
-          policy.backoffBaseMicros == 0 ? 1 : policy.backoffBaseMicros;
-      uint64_t exp = m.recoverAttempts >= 63
-                         ? policy.backoffMaxMicros
-                         : base << (m.recoverAttempts - 1);
-      uint64_t capped = std::min(exp, policy.backoffMaxMicros);
-      std::uniform_int_distribution<uint64_t> jitter(0, base - 1);
-      uint64_t backoff = capped + jitter(m.recoverRng);
+      uint64_t backoff =
+          support::backoffMicros(policy.backoffBaseMicros,
+                                 policy.backoffMaxMicros, m.recoverAttempts,
+                                 m.recoverRng);
       fobs.readmissionBackoffUs.record(backoff);
       m.nextRecoverAtMicros = nowMicros() + backoff;
     });
@@ -574,29 +421,7 @@ std::string FleetController::stateDigest(size_t device) const {
     throw std::runtime_error("device " + m.name +
                              " failed to initialize: " + m.initError);
   }
-  std::string local = m.ctl->stateDigest();
-  if (options_.transport == Transport::kSocket && m.link != nullptr &&
-      m.link->alive() && !m.failed.load(std::memory_order_relaxed)) {
-    // Replicated-digest coherence: ask the agent for its view of the same
-    // state over the wire and insist the replicas agree. For an in-process
-    // agent this exercises the protocol; for an external one it is the
-    // actual coherence check.
-    std::lock_guard<std::mutex> lock(m.wireMu);
-    try {
-      wire::DigestReply reply = m.link->digest();
-      FleetObs::get().wireDigestChecks.add(1);
-      if (reply.digest != local) {
-        throw std::runtime_error("replicated digest incoherence on " +
-                                 m.name + ": agent " + reply.digest +
-                                 " vs controller " + local);
-      }
-    } catch (const wire::WireError&) {
-      // The link died answering; the local committed state stays
-      // authoritative (digests must remain readable for quarantined
-      // members, exactly as on the in-process transport).
-    }
-  }
-  return local;
+  return m.ctl->stateDigest();
 }
 
 std::string FleetController::fleetDigest() const {
@@ -647,45 +472,8 @@ void FleetController::checkpointAll() {
     if (m.ctl == nullptr || m.failed.load(std::memory_order_relaxed)) {
       continue;
     }
-    if (options_.transport == Transport::kSocket && m.link != nullptr &&
-        m.link->alive()) {
-      std::lock_guard<std::mutex> lock(m.wireMu);
-      try {
-        m.link->checkpoint();
-        continue;
-      } catch (const wire::WireError&) {
-        // A link that cannot deliver a checkpoint request is broken;
-        // quarantine, same as a failed drain.
-        m.failed.store(true, std::memory_order_relaxed);
-        FleetObs::get().deviceFailures.add(1);
-        continue;
-      }
-    }
     m.ctl->checkpointNow();
   }
-}
-
-void FleetController::disconnectAgent(size_t device) {
-  Member& m = *members_.at(device);
-  if (m.link == nullptr) return;  // in-process transport: nothing to sever
-  FleetObs& fobs = FleetObs::get();
-  size_t lost = 0;
-  {
-    std::lock_guard<std::mutex> lock(m.wireMu);
-    lost = m.link->pending();
-    m.link->disconnect();
-  }
-  if (m.agentThread.joinable()) m.agentThread.join();
-  m.failed.store(true, std::memory_order_relaxed);
-  fobs.deviceFailures.add(1);
-  {
-    std::lock_guard<std::mutex> lock(m.qmu);
-    lost += m.queue.size();
-    m.queue.clear();
-  }
-  m.dropped.fetch_add(lost, std::memory_order_relaxed);
-  m.droppedCounter->add(lost);
-  fobs.dropped.add(lost);
 }
 
 }  // namespace flay::fleet

@@ -15,21 +15,6 @@
 
 namespace flay::fleet {
 
-/// How the fleet talks to its device controllers.
-///
-///  - kInproc: direct function calls on the drain workers (the original,
-///    fully tested single-process path).
-///  - kSocket: every device runs behind an AgentEndpoint on the far end of a
-///    socketpair, speaking the versioned wire protocol (src/wire) — real
-///    serialization, real syscalls, pipelined batches and batched acks. The
-///    same endpoint code serves `flayc agent` processes over Unix-domain
-///    sockets; here the agents are in-process threads so the fleet object
-///    keeps its existing ownership and digest API.
-///
-/// The two transports are observably equivalent: equal update streams yield
-/// byte-identical fleet digests (tests/wire_equiv.sh holds this).
-enum class Transport { kInproc, kSocket };
-
 /// Quarantine re-admission policy for tryRecoverAll(): a degraded member is
 /// only re-attempted after an exponential (jittered, capped) backoff since
 /// its last failed attempt, so a device stuck in an outage is not hammered
@@ -37,8 +22,8 @@ enum class Transport { kInproc, kSocket };
 /// decides when to poll (typically once per drain cycle); the fleet decides
 /// which members are actually due.
 struct RecoveryPolicy {
-  /// Backoff after the n-th consecutive failure: min(base << (n-1), max)
-  /// plus jitter in [0, base).
+  /// Backoff after the n-th consecutive failure: support::backoffMicros,
+  /// i.e. min(base << (n-1), max) plus jitter in [0, base).
   uint64_t backoffBaseMicros = 500;
   uint64_t backoffMaxMicros = 200000;
   /// Consecutive failed attempts before the fleet stops re-admitting a
@@ -74,17 +59,8 @@ struct FleetOptions {
   /// Fault-plan template: device i runs it with seed = faultPlan.seed + i,
   /// so faults land at different points per device (deterministically).
   controller::FaultPlan faultPlan;
-  /// When false, controllers run without a device (analysis + WAL only; no
-  /// compiles or installs). Crash-recovery tests use this shape.
-  bool attachDevices = true;
   /// Re-admission backoff for tryRecoverAll().
   RecoveryPolicy recovery;
-  /// Controller <-> device transport (see Transport).
-  Transport transport = Transport::kInproc;
-  /// Socket transport tuning: updates per kBatch frame, and how many batch
-  /// frames may be in flight per link before the daemon requires an ack.
-  size_t wireBatchSize = 32;
-  size_t wireWindowBatches = 8;
   /// Base per-device controller options. stateDir and seed are overwritten
   /// per device.
   controller::ControllerOptions controller;
@@ -217,26 +193,12 @@ class FleetController {
 
   controller::FaultTolerantController& controller(size_t device);
 
-  Transport transport() const { return options_.transport; }
-
-  /// Fault injection (socket transport only): abruptly severs `device`'s
-  /// link mid-stream, as if the daemon died. The agent sees EOF (the wire's
-  /// torn-tail contract: unacknowledged batches never happened), its thread
-  /// exits, and the member is quarantined with its unacknowledged and
-  /// queued updates counted as dropped. No-op on the in-process transport.
-  void disconnectAgent(size_t device);
-
  private:
   struct Member;
 
   void drainMember(Member& m);
-  void drainMemberSocket(Member& m);
-  void shutdownLinks();
 
   FleetOptions options_;
-  /// Fingerprint of the fleet's program (socket transport): every agent's
-  /// kHello must match or the handshake is rejected (shard-by-program).
-  std::string programFingerprint_;
   std::unique_ptr<support::ThreadPool> pool_;  // null when jobs <= 1
   std::vector<std::unique_ptr<Member>> members_;
 };

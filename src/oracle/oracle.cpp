@@ -37,6 +37,10 @@ std::string hexBytes(const std::vector<uint8_t>& bytes) {
 
 std::string renderBool(bool b) { return b ? "true" : "false"; }
 
+/// Placement-search budget for the fault-mode device compiler, kept small
+/// because the oracle compiles on every recompile verdict.
+constexpr uint32_t kFaultCompileIterations = 8;
+
 }  // namespace
 
 std::string Divergence::describe() const {
@@ -149,39 +153,35 @@ std::optional<Divergence> DifferentialOracle::probe(
       return diverge(i, packet, "outputBytes", hexBytes(a.outputBytes),
                      hexBytes(b.outputBytes));
     }
-    if (options_.compareFields) {
-      // Compare the intersection of the two field stores: the specializer
-      // may legitimately drop never-read locations, but any location both
-      // programs still carry must agree.
-      for (const auto& [name, value] : a.fields) {
-        auto it = b.fields.find(name);
-        if (it == b.fields.end()) continue;
-        if (!(value == it->second)) {
-          return diverge(i, packet, "field:" + name, value.toHexString(),
-                         it->second.toHexString());
-        }
+    // Compare the intersection of the two field stores: the specializer may
+    // legitimately drop never-read locations, but any location both programs
+    // still carry must agree.
+    for (const auto& [name, value] : a.fields) {
+      auto it = b.fields.find(name);
+      if (it == b.fields.end()) continue;
+      if (!(value == it->second)) {
+        return diverge(i, packet, "field:" + name, value.toHexString(),
+                       it->second.toHexString());
       }
     }
   }
 
-  if (options_.compareExterns) {
-    // Sparse snapshots: cells the specialized program no longer declares are
-    // only a divergence when the original actually touched them.
-    std::map<std::string, std::string> a = origState.externSnapshot();
-    std::map<std::string, std::string> b = specState.externSnapshot();
-    for (const auto& [cell, value] : a) {
-      auto it = b.find(cell);
-      std::string spec = it == b.end() ? "<default>" : it->second;
-      if (spec != value) {
-        sim::Packet none;
-        return diverge(count, none, "extern:" + cell, value, spec);
-      }
+  // Sparse extern snapshots: cells the specialized program no longer
+  // declares are only a divergence when the original actually touched them.
+  std::map<std::string, std::string> a = origState.externSnapshot();
+  std::map<std::string, std::string> b = specState.externSnapshot();
+  for (const auto& [cell, value] : a) {
+    auto it = b.find(cell);
+    std::string spec = it == b.end() ? "<default>" : it->second;
+    if (spec != value) {
+      sim::Packet none;
+      return diverge(count, none, "extern:" + cell, value, spec);
     }
-    for (const auto& [cell, value] : b) {
-      if (a.count(cell) == 0) {
-        sim::Packet none;
-        return diverge(count, none, "extern:" + cell, "<default>", value);
-      }
+  }
+  for (const auto& [cell, value] : b) {
+    if (a.count(cell) == 0) {
+      sim::Packet none;
+      return diverge(count, none, "extern:" + cell, "<default>", value);
     }
   }
   return std::nullopt;
@@ -258,7 +258,7 @@ std::optional<Divergence> DifferentialOracle::replayWithFaults(
   // Fresh controller + device per replay: the fault plan's RNG restarts, so
   // shrunk subsets replay the exact same fault schedule.
   tofino::CompilerOptions compilerOptions;
-  compilerOptions.searchIterations = options_.faultCompileIterations;
+  compilerOptions.searchIterations = kFaultCompileIterations;
   controller::SimulatedDevice device(*options_.faultPlan, {}, compilerOptions);
   controller::ControllerOptions copts;
   copts.flay = options_.flayOptions;

@@ -18,13 +18,13 @@ namespace flay::oracle {
 /// Knobs of one differential-oracle run. The (seed, updates, packets) triple
 /// fully determines the fuzzed update script and every probe workload, so a
 /// run — and any shrunk subset of it — replays exactly from a command line.
+/// Every probe compares the observable output, the post-pipeline field
+/// store, and register/counter/meter state.
 struct OracleOptions {
   size_t updates = 100;  // length of the fuzzed update script
   size_t packets = 32;   // probe packets per equivalence check
   uint64_t seed = 1;
   bool shrink = true;    // minimize update script + packet on divergence
-  bool compareFields = true;   // compare the full post-pipeline field store
-  bool compareExterns = true;  // compare register/counter/meter state
 
   /// Fault injection: forward to migrateConfig's test hooks so tests and CI
   /// can prove the oracle catches a specializer that drops an entry.
@@ -48,9 +48,6 @@ struct OracleOptions {
   /// packet-equivalent to the original program under the device-visible
   /// config, across every retry, pin, and recovery the plan provokes.
   std::optional<controller::FaultPlan> faultPlan;
-  /// Placement-search budget for the fault-mode device compiler (kept small
-  /// because the oracle compiles on every recompile verdict).
-  uint32_t faultCompileIterations = 8;
 
   flay::FlayOptions flayOptions;
   flay::SpecializerOptions specializerOptions;

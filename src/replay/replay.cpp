@@ -130,7 +130,6 @@ ReplayReport LiveReplayHarness::run() {
   fopts.queueCapacity = options_.queueCapacity;
   fopts.faultPlan = options_.faultPlan;
   fopts.recovery = options_.recovery;
-  fopts.transport = options_.transport;
   fopts.controller = options_.controller;
   // Re-admission is the fleet's job here: inline recovery during apply would
   // race the harness's recovery accounting and bypass the backoff policy.

@@ -52,11 +52,6 @@ struct ReplayOptions {
   /// unconverged.
   size_t maxRecoveryRounds = 200;
   fleet::RecoveryPolicy recovery;
-  /// Controller <-> device transport: in-process calls or the versioned
-  /// socket wire protocol (see fleet::Transport). Epoch callbacks still
-  /// fire in-process either way (socket agents are threads in this
-  /// process), so the harness's staleness accounting is transport-blind.
-  fleet::Transport transport = fleet::Transport::kInproc;
   /// Base per-device controller options. tryRecoverEvery is forced to 0 so
   /// quarantine re-admission goes through the fleet's RecoveryPolicy and the
   /// recovery metrics are well-defined.

@@ -11,9 +11,7 @@ using expr::ExprRef;
 using internal::PhaseTimer;
 using internal::SmtObs;
 
-ProbeSession::ProbeSession(const expr::ExprArena& arena,
-                           ProbeSessionOptions options)
-    : arena_(arena), options_(options) {
+ProbeSession::ProbeSession(const expr::ExprArena& arena) : arena_(arena) {
   rebuild();
 }
 
@@ -33,7 +31,8 @@ void ProbeSession::setNodeWatermark(uint32_t nodeId) {
 
 void ProbeSession::maybeRebuild() {
   const sat::Solver& s = session_->solver();
-  if (s.numVars() > options_.maxVars || s.numClauses() > options_.maxClauses) {
+  if (s.numVars() > kProbeSessionMaxVars ||
+      s.numClauses() > kProbeSessionMaxClauses) {
     rebuild();
     SmtObs::get().sessionRebuilds.add(1);
   }

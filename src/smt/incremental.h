@@ -13,14 +13,12 @@
 
 namespace flay::smt {
 
-struct ProbeSessionOptions {
-  /// Rebuild valve: when the warm solver exceeds either cap, the session is
-  /// torn down and re-warmed from scratch. Retired clauses are disabled but
-  /// not physically reclaimed, and per-probe eqConst gates accumulate, so
-  /// the valve is what bounds memory over a long-lived session.
-  uint32_t maxVars = 1u << 17;
-  uint64_t maxClauses = 1u << 18;
-};
+/// Rebuild valve: when the warm solver exceeds either cap, the session is
+/// torn down and re-warmed from scratch. Retired clauses are disabled but
+/// not physically reclaimed, and per-probe eqConst gates accumulate, so the
+/// valve is what bounds memory over a long-lived session.
+constexpr uint32_t kProbeSessionMaxVars = 1u << 17;
+constexpr uint64_t kProbeSessionMaxClauses = 1u << 18;
 
 /// Warm incremental constantness prober: the session-lifetime counterpart of
 /// smt::probeConstant. One instance owns one sat::SolverSession plus one
@@ -52,8 +50,7 @@ struct ProbeSessionOptions {
 /// Not thread-safe: the check engine keeps one session per worker slot.
 class ProbeSession {
  public:
-  explicit ProbeSession(const expr::ExprArena& arena,
-                        ProbeSessionOptions options = {});
+  explicit ProbeSession(const expr::ExprArena& arena);
 
   ProbeSession(const ProbeSession&) = delete;
   ProbeSession& operator=(const ProbeSession&) = delete;
@@ -85,7 +82,6 @@ class ProbeSession {
                 uint64_t maxConflicts, ConstantProbe* out);
 
   const expr::ExprArena& arena_;
-  ProbeSessionOptions options_;
   std::unique_ptr<sat::SolverSession> session_;
   std::unique_ptr<BitBlaster> blaster_;
   std::unordered_map<std::string, uint32_t> scopeGroups_;

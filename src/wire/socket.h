@@ -3,7 +3,7 @@
 
 // Thin POSIX socket layer under the frame codec: RAII descriptors, Unix-
 // domain listen/connect (the daemon/agent rendezvous), socketpair links for
-// in-process agent threads, and a blocking FrameChannel that pairs a
+// agents run on a thread (tests), and a blocking FrameChannel that pairs a
 // descriptor with an incremental FrameDecoder. The daemon's pipelined drain
 // path polls a raw descriptor itself (see fleet::AgentLink); this header is
 // the blocking side.
@@ -47,8 +47,9 @@ class Fd {
   int fd_ = -1;
 };
 
-/// AF_UNIX SOCK_STREAM pair — the in-process daemon<->agent link (real
-/// serialization + syscalls, no filesystem rendezvous). Throws WireError.
+/// AF_UNIX SOCK_STREAM pair — a daemon<->agent link within one process
+/// (real serialization + syscalls, no filesystem rendezvous). Throws
+/// WireError.
 std::pair<Fd, Fd> socketPair();
 
 /// Binds + listens on a Unix-domain socket path (unlinking any stale one).

@@ -278,22 +278,6 @@ DigestReply decodeDigestReply(const std::vector<uint8_t>& p) {
   return m;
 }
 
-std::vector<uint8_t> encode(const RecoverReply& m) {
-  Writer w;
-  w.u8(m.recovered ? 1 : 0);
-  w.u8(m.degraded ? 1 : 0);
-  return w.take();
-}
-
-RecoverReply decodeRecoverReply(const std::vector<uint8_t>& p) {
-  Reader r(p);
-  RecoverReply m;
-  m.recovered = r.u8() != 0;
-  m.degraded = r.u8() != 0;
-  r.expectEnd();
-  return m;
-}
-
 std::vector<uint8_t> encode(const ErrorMsg& m) {
   Writer w;
   w.u32(m.code);
@@ -306,51 +290,6 @@ ErrorMsg decodeErrorMsg(const std::vector<uint8_t>& p) {
   ErrorMsg m;
   m.code = r.u32();
   m.detail = r.str();
-  r.expectEnd();
-  return m;
-}
-
-std::vector<uint8_t> encode(const BulkChunk& m) {
-  Writer w;
-  w.u64(m.chunkSize);
-  w.u8(m.last ? 1 : 0);
-  w.u32(static_cast<uint32_t>(m.updates.size()));
-  for (const auto& u : m.updates) w.str(u);
-  return w.take();
-}
-
-BulkChunk decodeBulkChunk(const std::vector<uint8_t>& p) {
-  Reader r(p);
-  BulkChunk m;
-  m.chunkSize = r.u64();
-  m.last = r.u8() != 0;
-  uint32_t n = r.u32();
-  if (static_cast<uint64_t>(n) * 4 > p.size()) {
-    throw WireError("bulk chunk count " + std::to_string(n) +
-                    " exceeds the payload");
-  }
-  m.updates.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) m.updates.push_back(r.str());
-  r.expectEnd();
-  return m;
-}
-
-std::vector<uint8_t> encode(const BulkReply& m) {
-  Writer w;
-  w.u64(m.applied);
-  w.u64(m.rejected);
-  w.u64(m.retries);
-  w.u8(m.degraded ? 1 : 0);
-  return w.take();
-}
-
-BulkReply decodeBulkReply(const std::vector<uint8_t>& p) {
-  Reader r(p);
-  BulkReply m;
-  m.applied = r.u64();
-  m.rejected = r.u64();
-  m.retries = r.u64();
-  m.degraded = r.u8() != 0;
   r.expectEnd();
   return m;
 }

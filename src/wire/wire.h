@@ -30,14 +30,17 @@
 namespace flay::wire {
 
 constexpr uint32_t kMagic = 0x464C4159;  // "FLAY"
-constexpr uint16_t kVersion = 2;
+constexpr uint16_t kVersion = 3;
 constexpr size_t kHeaderSize = 16;
 /// Hard cap on one frame's payload; a length prefix beyond it is a protocol
-/// error, never an allocation. Bulk streams chunk well below this.
+/// error, never an allocation.
 constexpr uint32_t kMaxPayload = 8u << 20;
 
-/// Frame types of wire protocol version 2. The agent speaks first (kHello);
-/// every daemon->agent request has exactly one reply type.
+/// Frame types of wire protocol version 3: exactly the messages `flayc
+/// daemon` and `flayc agent` exchange. The agent speaks first (kHello);
+/// every daemon->agent request has exactly one reply type. Values 7-10, 14
+/// and 15 belonged to version 2's recover, checkpoint and bulk RPCs and are
+/// not reused.
 enum class FrameType : uint16_t {
   kHello = 1,          ///< agent -> daemon: name, program fingerprint, seed
   kHelloAck = 2,       ///< daemon -> agent: accepted or rejection detail
@@ -45,16 +48,9 @@ enum class FrameType : uint16_t {
   kAck = 4,            ///< agent -> daemon: cumulative counters up to a seq
   kDigestRequest = 5,  ///< daemon -> agent
   kDigestReply = 6,    ///< agent -> daemon: canonical state digest
-  kRecover = 7,        ///< daemon -> agent: attempt quarantine re-admission
-  kRecoverReply = 8,
-  kCheckpoint = 9,  ///< daemon -> agent: force a journal checkpoint
-  kCheckpointAck = 10,
-  kError = 11,  ///< either direction: explicit, fatal protocol error
-  kBye = 12,    ///< daemon -> agent: clean shutdown
+  kError = 11,         ///< either direction: explicit, fatal protocol error
+  kBye = 12,           ///< daemon -> agent: clean shutdown
   kByeAck = 13,
-  kBulk = 14,  ///< daemon -> agent: one bulk-load stream chunk (applyBulk
-               ///< path); `last` triggers the load
-  kBulkReply = 15,
 };
 
 /// Error codes carried by kError frames.
@@ -191,29 +187,9 @@ struct DigestReply {
   uint64_t deviceVisible = 0;
 };
 
-struct RecoverReply {
-  bool recovered = false;
-  bool degraded = false;
-};
-
 struct ErrorMsg {
   uint32_t code = 0;
   std::string detail;
-};
-
-/// One chunk of a bulk-load stream; the agent buffers chunks and runs
-/// applyBulk when `last` is set.
-struct BulkChunk {
-  uint64_t chunkSize = 0;  ///< BulkLoadOptions.chunkSize (from the first chunk)
-  bool last = false;
-  std::vector<std::string> updates;
-};
-
-struct BulkReply {
-  uint64_t applied = 0;
-  uint64_t rejected = 0;
-  uint64_t retries = 0;
-  bool degraded = false;
 };
 
 std::vector<uint8_t> encode(const Hello& m);
@@ -221,20 +197,14 @@ std::vector<uint8_t> encode(const HelloAck& m);
 std::vector<uint8_t> encode(const Batch& m);
 std::vector<uint8_t> encode(const Ack& m);
 std::vector<uint8_t> encode(const DigestReply& m);
-std::vector<uint8_t> encode(const RecoverReply& m);
 std::vector<uint8_t> encode(const ErrorMsg& m);
-std::vector<uint8_t> encode(const BulkChunk& m);
-std::vector<uint8_t> encode(const BulkReply& m);
 
 Hello decodeHello(const std::vector<uint8_t>& p);
 HelloAck decodeHelloAck(const std::vector<uint8_t>& p);
 Batch decodeBatch(const std::vector<uint8_t>& p);
 Ack decodeAck(const std::vector<uint8_t>& p);
 DigestReply decodeDigestReply(const std::vector<uint8_t>& p);
-RecoverReply decodeRecoverReply(const std::vector<uint8_t>& p);
 ErrorMsg decodeErrorMsg(const std::vector<uint8_t>& p);
-BulkChunk decodeBulkChunk(const std::vector<uint8_t>& p);
-BulkReply decodeBulkReply(const std::vector<uint8_t>& p);
 
 }  // namespace flay::wire
 

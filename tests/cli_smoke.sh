@@ -88,10 +88,12 @@ expect_arg_error "non-numeric --churn-rate" \
   -- replay "$PROG" --churn-rate sometimes
 expect_arg_error "negative --churn-rate" \
   -- replay "$PROG" --churn-rate -3
-expect_arg_error "unknown --transport rejected" \
-  -- fleet "$PROG" --transport carrier-pigeon
-expect_arg_error "missing value for --transport" \
-  -- fleet "$PROG" --transport
+# The fleet has one transport (direct calls); the multi-process deployment
+# is `daemon`/`agent`. The former socket emulation's flag is unknown.
+expect_arg_error "--transport is gone from fleet" \
+  -- fleet "$PROG" --devices 2 --updates 10 --seed 1 --transport socket
+expect_arg_error "--transport is gone from replay" \
+  -- replay "$PROG" --updates 12 --packets 2000 --transport socket
 expect_arg_error "missing value for --listen" \
   -- daemon "$PROG" --listen
 expect_arg_error "daemon without --listen rejected" \
@@ -138,8 +140,6 @@ expect_ok "fleet drains a faulty 3-device fleet to identical digests" \
      --fault-plan flaky
 expect_ok "fleet with a queue cap" \
   -- fleet "$PROG" --devices 2 --updates 10 --seed 1 --queue-cap 4
-expect_ok "fleet over the socket transport converges identically" \
-  -- fleet "$PROG" --devices 2 --updates 10 --seed 1 --transport socket
 expect_ok "daemon drives spawned agent processes to a clean digest" \
   -- daemon "$PROG" --listen "${TMPDIR:-/tmp}/flayc-smoke-$$.sock" \
      --devices 2 --updates 10 --seed 1 --spawn

@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <random>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -22,6 +23,7 @@
 #include "p4/typecheck.h"
 #include "sat/solver.h"
 #include "smt/solver.h"
+#include "support/backoff.h"
 
 namespace flay::controller {
 namespace {
@@ -356,6 +358,10 @@ TEST(CrashRecovery, MalformedCompleteLineRefusesToStart) {
   writeFile(path, "{\"seq\":1,\"type\":\"begin\",\"n\":1}\n");
   EXPECT_THROW({ FaultTolerantController old(checked, nullptr, opts); },
                std::runtime_error);
+
+  writeFile(path, "{\"seq\":1,\"type\":\"ifc\",\"text\":\"x\"}\n");
+  EXPECT_THROW({ FaultTolerantController audit(checked, nullptr, opts); },
+               std::runtime_error);
 }
 
 TEST(CrashRecovery, CheckpointBoundsReplayWork) {
@@ -519,8 +525,8 @@ TEST(DeviceFaults, OutageDegradesThenRecovers) {
             recoveriesBefore + 1);
 }
 
-// The backoff schedule is exponential with jitter and capped; recorded even
-// when sleepOnBackoff is off so tests never pay it in wall-clock.
+// The backoff schedule is exponential with jitter and capped; it is
+// recorded, never slept, so tests never pay it in wall-clock.
 TEST(DeviceFaults, BackoffScheduleIsRecordedWithoutSleeping) {
   p4::CheckedProgram checked = load("middleblock");
   FaultPlan plan;
@@ -535,13 +541,48 @@ TEST(DeviceFaults, BackoffScheduleIsRecordedWithoutSleeping) {
   opts.maxInstallRetries = 4;
   opts.backoffBaseMicros = 100;
   opts.backoffMaxMicros = 250;
-  opts.sleepOnBackoff = false;
   FaultTolerantController ctrl(checked, &device, opts);
 
   EXPECT_FALSE(ctrl.degraded());
   EXPECT_GE(backoff.count(), 3u);
   // Cap + jitter bound: every recorded backoff is < max + base.
   EXPECT_LT(backoff.max(), 250u + 100u);
+}
+
+// The one backoff schedule (install retries here, fleet re-admission in
+// FleetController::tryRecoverAll) never backs off less after more failures:
+// its capped part is non-decreasing and stays at max once it gets there. A
+// shift that wraps mod 2^64 breaks this once the base's set bits shift out
+// — attempt 62 for base 200, attempts 55-62 for base 1024 — which a policy
+// that never gives up (maxAttempts = 0) reaches.
+TEST(DeviceFaults, BackoffSaturatesAtMaxAndNeverDecreases) {
+  for (uint64_t max : {uint64_t{5000}, uint64_t{50000}, uint64_t{200000}}) {
+    for (uint64_t base : {uint64_t{1}, uint64_t{200}, uint64_t{500},
+                          uint64_t{1024}}) {
+      SCOPED_TRACE("base " + std::to_string(base) + ", max " +
+                   std::to_string(max));
+      std::mt19937_64 rng(base);
+      uint64_t prev = 0;
+      bool reached = false;
+      for (uint32_t attempt = 1; attempt <= 100; ++attempt) {
+        uint64_t capped = support::cappedBackoffMicros(base, max, attempt);
+        if (attempt == 1) {
+          EXPECT_EQ(capped, std::min(base, max));
+        }
+        EXPECT_GE(capped, prev) << "attempt " << attempt;
+        EXPECT_LE(capped, max) << "attempt " << attempt;
+        if (reached) {
+          EXPECT_EQ(capped, max) << "attempt " << attempt;
+        }
+        reached |= capped == max;
+        uint64_t full = support::backoffMicros(base, max, attempt, rng);
+        EXPECT_GE(full, capped) << "attempt " << attempt;
+        EXPECT_LT(full - capped, base) << "attempt " << attempt;
+        prev = capped;
+      }
+      EXPECT_TRUE(reached);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

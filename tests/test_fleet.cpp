@@ -135,7 +135,6 @@ TEST(Fleet, DegradedDeviceDoesNotStallTheFleet) {
   opts.jobs = 2;
   opts.faultPlan = controller::FaultPlan::parse("outage=1+1000");
   opts.controller.maxInstallRetries = 1;
-  opts.controller.sleepOnBackoff = false;
   FleetController fc(checked, opts);
   for (const auto& u : script) fc.broadcast(u);
   fc.drain();

@@ -2,8 +2,10 @@
 // malformed/truncated-frame fuzz battery (the decoder must never crash,
 // hang, or misparse, however adversarial the bytes), byte-at-a-time
 // partial-read reassembly, version negotiation, the torn-tail contract, the
-// hardened Update::fromString surface, and the transport-equivalence and
-// kill-mid-stream properties of the socket fleet.
+// hardened Update::fromString surface, the daemon/agent link (the
+// AgentLink/AgentEndpoint pair `flayc daemon` and `flayc agent` run, here
+// with the agent on a thread) converging and recovering to the in-process
+// controller's digest, and the fleet's deterministic re-admission backoff.
 
 #include "wire/wire.h"
 
@@ -16,9 +18,13 @@
 #include <filesystem>
 #include <memory>
 #include <random>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "controller/controller.h"
+#include "controller/device.h"
 #include "fleet/agent.h"
 #include "fleet/fleet.h"
 #include "net/fuzzer.h"
@@ -121,26 +127,6 @@ TEST(WireCodec, MessageRoundTrips) {
   ErrorMsg e2 = decodeErrorMsg(encode(err));
   EXPECT_EQ(e2.code, err.code);
   EXPECT_EQ(e2.detail, err.detail);
-
-  BulkChunk chunk;
-  chunk.chunkSize = 4096;
-  chunk.last = true;
-  chunk.updates = {"insert T [2] -> b()"};
-  BulkChunk k2 = decodeBulkChunk(encode(chunk));
-  EXPECT_EQ(k2.chunkSize, chunk.chunkSize);
-  EXPECT_EQ(k2.last, chunk.last);
-  EXPECT_EQ(k2.updates, chunk.updates);
-
-  BulkReply reply;
-  reply.applied = 4090;
-  reply.rejected = 6;
-  reply.retries = 2;
-  reply.degraded = true;
-  BulkReply r2 = decodeBulkReply(encode(reply));
-  EXPECT_EQ(r2.applied, reply.applied);
-  EXPECT_EQ(r2.rejected, reply.rejected);
-  EXPECT_EQ(r2.retries, reply.retries);
-  EXPECT_EQ(r2.degraded, reply.degraded);
 }
 
 // ---------------------------------------------------------------------------
@@ -170,21 +156,32 @@ TEST(WireCodec, VersionMismatchRejected) {
   EXPECT_EQ(dec.next(&f), FrameDecoder::Status::kError);
 }
 
-// Version 2 reshaped the bulk payloads; a version-1 peer's frame must be
-// refused with the same version error as any other unspoken version, not
-// decoded against the new schema.
-TEST(WireCodec, VersionOneFrameRejected) {
-  ASSERT_EQ(kVersion, 2);
+/// A frame from a peer speaking an older wire version must be refused with
+/// the same version error as any other unspoken version, never decoded
+/// against this version's frame types and schemas.
+void expectOlderVersionRejected(uint16_t version) {
+  ASSERT_LT(version, kVersion);
   std::vector<uint8_t> bytes = validFrame();
-  bytes[4] = 1;  // version lives at offset 4, little-endian
-  bytes[5] = 0;
+  bytes[4] = static_cast<uint8_t>(version);  // offset 4, little-endian
+  bytes[5] = static_cast<uint8_t>(version >> 8);
   FrameDecoder dec;
   dec.feed(bytes.data(), bytes.size());
   Frame f;
   EXPECT_EQ(dec.next(&f), FrameDecoder::Status::kError);
   EXPECT_TRUE(dec.failed());
-  EXPECT_NE(dec.error().find("wire version 1 unsupported"), std::string::npos)
+  EXPECT_NE(dec.error().find("wire version " + std::to_string(version) +
+                             " unsupported"),
+            std::string::npos)
       << dec.error();
+}
+
+// Version 2 reshaped the bulk payloads.
+TEST(WireCodec, VersionOneFrameRejected) { expectOlderVersionRejected(1); }
+
+// Version 3 dropped the recover, checkpoint and bulk frame types.
+TEST(WireCodec, VersionTwoFrameRejected) {
+  ASSERT_EQ(kVersion, 3);
+  expectOlderVersionRejected(2);
 }
 
 TEST(WireCodec, BadMagicRejected) {
@@ -297,10 +294,8 @@ TEST(WireFuzz, DecoderSurvivesMalformedFrames) {
     Ack a;
     a.upToSeq = 2;
     seeds.push_back(encodeFrame(FrameType::kAck, encode(a)));
-    BulkChunk c;
-    c.last = true;
-    c.updates = {"x"};
-    seeds.push_back(encodeFrame(FrameType::kBulk, encode(c)));
+    seeds.push_back(encodeFrame(FrameType::kDigestReply,
+                                encode(DigestReply{"x", true, 2, 1})));
     seeds.push_back(
         encodeFrame(FrameType::kError, encode(ErrorMsg{kErrBadFrame, "boom"})));
   }
@@ -361,8 +356,8 @@ TEST(WireFuzz, DecoderSurvivesMalformedFrames) {
             case FrameType::kAck:
               decodeAck(f.payload);
               break;
-            case FrameType::kBulk:
-              decodeBulkChunk(f.payload);
+            case FrameType::kDigestReply:
+              decodeDigestReply(f.payload);
               break;
             case FrameType::kError:
               decodeErrorMsg(f.payload);
@@ -532,29 +527,80 @@ TEST(WireSocket, TornFrameAtEofIsCleanClose) {
 }
 
 // ---------------------------------------------------------------------------
-// Fleet transport equivalence + fault injection
+// Daemon/agent link: the deployment path, with the agent on a thread
 // ---------------------------------------------------------------------------
 
-// The acceptance property: equal update streams through the in-process and
-// the socket transport yield byte-identical fleet digests (the CLI flavor
-// of this lives in tests/wire_equiv.sh).
-TEST(WireFleet, SocketAndInprocDigestsIdentical) {
-  p4::CheckedProgram checked = load("middleblock");
-  auto script = net::fuzzUpdateSequence(checked, 24, /*seed=*/5);
+/// One device agent on a thread at the far end of a socketpair: the
+/// AgentEndpoint and controller a `flayc agent` process runs, with the
+/// daemon's AgentLink on this end, handshake done. Dropping the object
+/// closes the link without a goodbye, as if the daemon died: the agent sees
+/// EOF and stops.
+class ThreadAgent {
+ public:
+  ThreadAgent(const p4::CheckedProgram& checked,
+              controller::ControllerOptions options, size_t batchSize = 32,
+              size_t windowBatches = 8)
+      : ctl_(checked, &device_, std::move(options)) {
+    auto fds = socketPair();
+    endpoint_ = std::make_unique<fleet::AgentEndpoint>(
+        checked, ctl_, FrameChannel(std::move(fds.second)), "dev0");
+    thread_ = std::thread([this] { served_ = endpoint_->serve(); });
+    link_ = std::make_unique<fleet::AgentLink>(std::move(fds.first), "dev0",
+                                               batchSize, windowBatches);
+    try {
+      Hello hello = link_->handshake();
+      EXPECT_EQ(hello.programFingerprint, fleet::programFingerprint(checked));
+      link_->accept();
+    } catch (...) {
+      stop();
+      throw;
+    }
+  }
+  ~ThreadAgent() { stop(); }
+  ThreadAgent(const ThreadAgent&) = delete;
+  ThreadAgent& operator=(const ThreadAgent&) = delete;
 
-  auto run = [&](fleet::Transport transport) {
-    fleet::FleetOptions opts;
-    opts.devices = 3;
-    opts.jobs = 2;
-    opts.transport = transport;
-    fleet::FleetController fc(checked, opts);
-    for (const auto& u : script) fc.broadcast(u);
-    fc.drain();
-    EXPECT_EQ(fc.failedDevices(), 0u);
-    return fc.fleetDigest();
-  };
+  fleet::AgentLink& link() { return *link_; }
+  const controller::FaultTolerantController& controller() const {
+    return ctl_;
+  }
 
-  EXPECT_EQ(run(fleet::Transport::kInproc), run(fleet::Transport::kSocket));
+  /// Sends every update as batch frames and waits for the agent's acks.
+  fleet::AgentLink::FlushDelta send(
+      const std::vector<runtime::Update>& updates) {
+    for (const auto& u : updates) link_->enqueue(u.toString());
+    return link_->flush();
+  }
+
+  /// Drops the link and joins the agent; true if it stopped cleanly.
+  bool stop() {
+    link_.reset();
+    if (thread_.joinable()) thread_.join();
+    return served_;
+  }
+
+ private:
+  controller::SimulatedDevice device_{controller::FaultPlan{}};
+  controller::FaultTolerantController ctl_;
+  std::unique_ptr<fleet::AgentEndpoint> endpoint_;
+  std::unique_ptr<fleet::AgentLink> link_;
+  bool served_ = false;
+  std::thread thread_;
+};
+
+/// Digest of one in-process controller fed `updates` in order, skipping the
+/// ones the engine rejects (as the agent does).
+std::string referenceDigest(const p4::CheckedProgram& checked,
+                            const std::vector<runtime::Update>& updates) {
+  controller::SimulatedDevice device{controller::FaultPlan{}};
+  controller::FaultTolerantController ctl(checked, &device);
+  for (const auto& u : updates) {
+    try {
+      ctl.apply(u);
+    } catch (const std::invalid_argument&) {
+    }
+  }
+  return ctl.stateDigest();
 }
 
 TEST(WireFleet, SmallBatchWindowStillConverges) {
@@ -563,101 +609,50 @@ TEST(WireFleet, SmallBatchWindowStillConverges) {
   p4::CheckedProgram checked = load("middleblock");
   auto script = net::fuzzUpdateSequence(checked, 16, /*seed=*/9);
 
-  fleet::FleetOptions opts;
-  opts.devices = 2;
-  opts.transport = fleet::Transport::kSocket;
-  opts.wireBatchSize = 1;
-  opts.wireWindowBatches = 1;
-  fleet::FleetController fc(checked, opts);
-  for (const auto& u : script) fc.broadcast(u);
-  fc.drain();
-
-  fleet::FleetOptions ref;
-  ref.devices = 2;
-  fleet::FleetController rc(checked, ref);
-  for (const auto& u : script) rc.broadcast(u);
-  rc.drain();
-
-  EXPECT_EQ(fc.fleetDigest(), rc.fleetDigest());
+  ThreadAgent agent(checked, {}, /*batchSize=*/1, /*windowBatches=*/1);
+  fleet::AgentLink::FlushDelta delta = agent.send(script);
+  EXPECT_EQ(delta.batches, script.size());
+  EXPECT_GT(delta.applied, 0u);
+  EXPECT_EQ(delta.applied + delta.rejected, script.size());
+  DigestReply reply = agent.link().digest();
+  EXPECT_EQ(reply.committed, delta.applied);
+  EXPECT_EQ(reply.digest, referenceDigest(checked, script));
+  agent.link().bye();
+  EXPECT_TRUE(agent.stop());
 }
 
-// Kill the agent mid-stream: queued-but-unsent updates are dropped and
-// counted, the member quarantines, and the rest of the fleet is untouched.
-TEST(WireFleet, DisconnectAgentQuarantinesAndCountsLoss) {
-  p4::CheckedProgram checked = load("middleblock");
-  auto script = net::fuzzUpdateSequence(checked, 16, /*seed=*/6);
-
-  fleet::FleetOptions opts;
-  opts.devices = 2;
-  opts.transport = fleet::Transport::kSocket;
-  fleet::FleetController fc(checked, opts);
-  size_t half = script.size() / 2;
-  for (size_t i = 0; i < half; ++i) fc.broadcast(script[i]);
-  fc.drain();
-
-  for (size_t i = half; i < script.size(); ++i) fc.broadcast(script[i]);
-  fc.disconnectAgent(0);  // daemon "dies" with dev0's second half queued
-  fc.drain();
-
-  fleet::DeviceStatus dead = fc.status(0);
-  EXPECT_TRUE(dead.failed);
-  EXPECT_EQ(dead.applied + dead.rejected, half);
-  EXPECT_EQ(dead.dropped, script.size() - half);
-
-  fleet::DeviceStatus alive = fc.status(1);
-  EXPECT_FALSE(alive.failed);
-  EXPECT_EQ(alive.applied + alive.rejected, script.size());
-  EXPECT_EQ(fc.failedDevices(), 1u);
-}
-
-// Kill-mid-stream recovery, reusing the journal machinery: a socket fleet
-// over a state root loses its daemon after the first half; a fresh fleet
-// over the same root replays every journal, finishes the stream, and lands
-// on the digest of an uninterrupted reference run.
+// Kill-mid-stream recovery, reusing the journal machinery: an agent over a
+// state dir loses its daemon after the first half; a controller recovered
+// from the same dir, behind a fresh endpoint, replays exactly what the first
+// half applied, finishes the stream, and lands on the digest of an
+// uninterrupted run.
 TEST(WireFleet, KillAndRestartRecoversToReferenceDigest) {
   p4::CheckedProgram checked = load("middleblock");
   auto script = net::fuzzUpdateSequence(checked, 20, /*seed=*/8);
-  size_t half = script.size() / 2;
+  std::vector<runtime::Update> first(script.begin(),
+                                     script.begin() + script.size() / 2);
+  std::vector<runtime::Update> second(script.begin() + script.size() / 2,
+                                      script.end());
   StateDir dir("killrestart");
+  controller::ControllerOptions opts;
+  opts.stateDir = dir.str();
 
+  uint64_t firstApplied = 0;
   {
-    fleet::FleetOptions opts;
-    opts.devices = 2;
-    opts.transport = fleet::Transport::kSocket;
-    opts.stateDirRoot = dir.str();
-    fleet::FleetController fc(checked, opts);
-    for (size_t i = 0; i < half; ++i) fc.broadcast(script[i]);
-    fc.drain();
-    for (size_t i = 0; i < fc.deviceCount(); ++i) {
-      fc.disconnectAgent(i);  // the daemon dies; journals survive
-    }
+    ThreadAgent agent(checked, opts);
+    firstApplied = agent.send(first).applied;
+    EXPECT_GT(firstApplied, 0u);
+    EXPECT_TRUE(agent.stop());  // the daemon dies; the journal survives
   }
 
-  std::string restarted;
-  {
-    fleet::FleetOptions opts;
-    opts.devices = 2;
-    opts.transport = fleet::Transport::kSocket;
-    opts.stateDirRoot = dir.str();
-    fleet::FleetController fc(checked, opts);
-    for (size_t i = 0; i < fc.deviceCount(); ++i) {
-      // Every committed first-half update came back from the journal.
-      EXPECT_GT(fc.status(i).replayed, 0u) << fc.deviceName(i);
-      EXPECT_LE(fc.status(i).replayed, half) << fc.deviceName(i);
-    }
-    for (size_t i = half; i < script.size(); ++i) fc.broadcast(script[i]);
-    fc.drain();
-    EXPECT_EQ(fc.failedDevices(), 0u);
-    restarted = fc.stateDigest(0);
-    EXPECT_EQ(fc.stateDigest(1), restarted);
-  }
-
-  fleet::FleetOptions ref;
-  ref.devices = 1;
-  fleet::FleetController rc(checked, ref);
-  for (const auto& u : script) rc.broadcast(u);
-  rc.drain();
-  EXPECT_EQ(restarted, rc.stateDigest(0));
+  ThreadAgent restarted(checked, opts);
+  EXPECT_EQ(restarted.controller().replayedUpdates(), firstApplied);
+  fleet::AgentLink::FlushDelta delta = restarted.send(second);
+  EXPECT_EQ(delta.applied + delta.rejected, second.size());
+  EXPECT_EQ(restarted.link().digest().digest,
+            referenceDigest(checked, script));
+  restarted.link().bye();
+  EXPECT_TRUE(restarted.stop());
 }
 
 // ---------------------------------------------------------------------------
@@ -671,11 +666,10 @@ TEST(WireFleet, BackoffScheduleIsDeterministicUnderInjectedClock) {
   p4::CheckedProgram checked = load("middleblock");
   auto script = net::fuzzUpdateSequence(checked, 8, /*seed=*/4);
 
-  auto schedule = [&](fleet::Transport transport) {
+  auto schedule = [&] {
     auto now = std::make_shared<std::atomic<uint64_t>>(1000);
     fleet::FleetOptions opts;
     opts.devices = 2;
-    opts.transport = transport;
     opts.faultPlan = controller::FaultPlan::parse("outage=1+1000000");
     opts.controller.seed = 21;
     opts.recovery.backoffBaseMicros = 500;
@@ -698,8 +692,8 @@ TEST(WireFleet, BackoffScheduleIsDeterministicUnderInjectedClock) {
     return next;
   };
 
-  std::vector<uint64_t> a = schedule(fleet::Transport::kInproc);
-  std::vector<uint64_t> b = schedule(fleet::Transport::kInproc);
+  std::vector<uint64_t> a = schedule();
+  std::vector<uint64_t> b = schedule();
   EXPECT_EQ(a, b);
   // The schedule derives from the injected clock's epoch, not wall time.
   for (uint64_t t : a) {

@@ -1,16 +1,15 @@
 #!/bin/sh
-# Transport-equivalence test for the fleet controller.
+# Deployment-equivalence test: daemon-spawned agents vs the in-process fleet.
 #
 #   wire_equiv.sh <path-to-flayc> <programs-dir>
 #
-# The socket transport's contract is that it is observably identical to the
-# in-process path: the same program, update stream, and fleet shape must
-# produce byte-identical per-device state digests and fleet digests whether
-# devices are driven by direct calls or by agents speaking the versioned
-# wire protocol. This runs `flayc fleet` under both transports (and a
-# degenerate 1-update-per-batch pipelining variant) and diffs the digest
-# lines, plus one daemon/agent run across real processes whose digest must
-# match the single-process fleet's per-device digest.
+# `flayc daemon --spawn` forks one `flayc agent` process per device and
+# streams the fuzzed update script to each over the versioned wire protocol
+# (pipelined batches, cumulative acks). `flayc fleet` drives the same number
+# of devices by direct calls. For the same program, update count and seed,
+# every agent must end on the per-device state digest the in-process fleet
+# reports. Committed state does not depend on device faults, so a leg with a
+# fault plan (forwarded by the daemon to every agent) must match as well.
 set -u
 
 FLAYC=$1
@@ -23,64 +22,38 @@ failures=0
 note() { printf '%s\n' "$*"; }
 fail() { note "FAIL: $*"; failures=$((failures + 1)); }
 
-# digests <out-file>: just the state-digest summary line (the transport-
-# independent part of the output; throughput lines obviously differ).
-digests() { grep "state digests" "$1"; }
-
+# compare <label> <program> <devices> <updates> <seed> [flags for both...]
 compare() {
-  label=$1; shift
-  "$FLAYC" fleet "$@" --transport inproc >"$TMP/inproc.out" 2>&1 || {
-    fail "$label: inproc run failed"
+  label=$1; prog=$2; devices=$3; updates=$4; seed=$5; shift 5
+  "$FLAYC" fleet "$PROGRAMS/$prog.p4l" --devices "$devices" \
+      --updates "$updates" --seed "$seed" "$@" >"$TMP/fleet.out" 2>&1 || {
+    fail "$label: fleet run failed"
+    cat "$TMP/fleet.out"
     return
   }
-  for variant in "--transport socket"; do
-    # shellcheck disable=SC2086
-    "$FLAYC" fleet "$@" $variant >"$TMP/socket.out" 2>&1 || {
-      fail "$label ($variant): run failed"
-      continue
-    }
-    if [ "$(digests "$TMP/inproc.out")" != "$(digests "$TMP/socket.out")" ]; then
-      fail "$label: digests differ with $variant"
-      diff "$TMP/inproc.out" "$TMP/socket.out" | head -10
-    else
-      note "ok: $label digests identical with $variant"
-    fi
-  done
+  "$FLAYC" daemon "$PROGRAMS/$prog.p4l" --listen "$TMP/flayd.sock" --spawn \
+      --devices "$devices" --updates "$updates" --seed "$seed" "$@" \
+      >"$TMP/daemon.out" 2>&1 || {
+    fail "$label: daemon --spawn run failed"
+    cat "$TMP/daemon.out"
+    return
+  }
+  fleet_digest=$(sed -n 's/.*identical (\([0-9a-f]*\)).*/\1/p' "$TMP/fleet.out")
+  daemon_digest=$(sed -n 's/.*digest \([0-9a-f]*\)$/\1/p' "$TMP/daemon.out")
+  if [ -z "$fleet_digest" ] || [ "$daemon_digest" != "$fleet_digest" ]; then
+    fail "$label: daemon digest '$daemon_digest' != fleet digest '$fleet_digest'"
+  else
+    note "ok: $label: agent processes digest identical to in-process fleet"
+  fi
 }
 
-for prog in middleblock switch; do
-  compare "fleet $prog" \
-    "$PROGRAMS/$prog.p4l" --updates 30 --devices 3 --jobs 2 --seed 1
-done
-compare "fleet middleblock faulty" \
-  "$PROGRAMS/middleblock.p4l" --updates 24 --devices 2 --seed 2 \
-  --fault-plan flaky
-compare "fleet scion" \
-  "$PROGRAMS/scion.p4l" --updates 20 --devices 2 --seed 3
-
-# Cross-process: a daemon driving two spawned `flayc agent` processes must
-# land on the same per-device digest as the in-process fleet over the same
-# script (same program, updates, seed).
-SOCK="$TMP/flayd.sock"
-"$FLAYC" daemon "$PROGRAMS/middleblock.p4l" --listen "$SOCK" \
-    --devices 2 --updates 30 --seed 1 --spawn >"$TMP/daemon.out" 2>&1 || {
-  fail "daemon --spawn run failed"
-  cat "$TMP/daemon.out"
-}
-"$FLAYC" fleet "$PROGRAMS/middleblock.p4l" \
-    --updates 30 --devices 2 --seed 1 >"$TMP/fleet.out" 2>&1 || {
-  fail "fleet reference run failed"
-}
-DAEMON_DIGEST=$(sed -n 's/.*digest \([0-9a-f]*\)$/\1/p' "$TMP/daemon.out")
-FLEET_DIGEST=$(sed -n 's/.*identical (\([0-9a-f]*\)).*/\1/p' "$TMP/fleet.out")
-if [ -z "$DAEMON_DIGEST" ] || [ "$DAEMON_DIGEST" != "$FLEET_DIGEST" ]; then
-  fail "daemon digest '$DAEMON_DIGEST' != fleet digest '$FLEET_DIGEST'"
-else
-  note "ok: daemon/agent processes digest identical to in-process fleet"
-fi
+compare "middleblock" middleblock 3 30 1 --jobs 2
+compare "switch" switch 3 30 1 --jobs 2
+compare "middleblock faulty" middleblock 2 24 2 --fault-plan flaky
+compare "scion" scion 2 20 3
 
 if [ "$failures" -ne 0 ]; then
   note "$failures check(s) failed"
   exit 1
 fi
-note "all transport equivalence checks passed"
+note "all deployment equivalence checks passed"

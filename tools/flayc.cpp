@@ -32,10 +32,7 @@
 //                                  with one verdict cache across all
 //                                  services, and require every device to end
 //                                  in the identical state (non-zero exit on
-//                                  divergence or a failed device); with
-//                                  --transport socket every device runs
-//                                  behind an in-process agent speaking the
-//                                  versioned wire protocol
+//                                  divergence or a failed device)
 //   flayc daemon     <prog.p4l>    controller daemon: listen on a Unix-domain
 //                                  socket (--listen), accept one agent per
 //                                  device (optionally fork/exec them with
@@ -76,7 +73,9 @@
 //                       a device injecting the named built-in plan (none,
 //                       transient, flaky, reject-compile, outage, slow) or a
 //                       spec like "fail-first=2,seed=7"; the oracle then
-//                       checks the degradation invariant
+//                       checks the degradation invariant. fleet/replay/
+//                       agent: every device runs the plan; daemon --spawn
+//                       passes it to each agent it starts
 //   --jobs N            specialize/fuzz/difftest/crashtest: run the
 //                       semantics-check probes of each specialization on N
 //                       threads (default 1; verdicts are identical at any N)
@@ -89,9 +88,6 @@
 //   --queue-cap Q       fleet: per-device work-queue capacity; updates
 //                       enqueued beyond it are dropped, never blocking the
 //                       rest of the fleet (default 0 = unbounded)
-//   --transport T       fleet/replay: inproc (direct calls, default) or
-//                       socket (per-device agents over the wire protocol);
-//                       the two produce byte-identical fleet digests
 //   --listen PATH       daemon: Unix-domain socket path to bind
 //   --connect PATH      agent: daemon socket path to connect to
 //   --device NAME       agent: device name presented in the hello (dev0)
@@ -191,7 +187,6 @@ struct Options {
   std::string traceOut;
   bool bulk = false;
   size_t chunk = 4096;
-  std::string transport = "inproc";
   std::string listenPath;
   std::string connectPath;
   std::string deviceName = "dev0";
@@ -217,8 +212,7 @@ int usage() {
       "             [--kill-points K] [--checkpoint-every C] "
       "[--state-dir DIR] [--torn-tail]\n"
       "             [--devices N] [--queue-cap Q]\n"
-      "             [--transport inproc|socket] [--listen PATH] "
-      "[--connect PATH]\n"
+      "             [--listen PATH] [--connect PATH]\n"
       "             [--device NAME] [--spawn]\n"
       "             [--mix uniform|heavy-hitter|port-scan|tunnel] "
       "[--churn-rate R] [--window W]\n"
@@ -994,8 +988,6 @@ int cmdFleet(const p4::CheckedProgram& checked, const Options& opts) {
   // don't oversubscribe the machine N*jobs ways.
   fopts.controller.specializer.jobs = 1;
   fopts.deviceCompiler.searchIterations = opts.iterations;
-  fopts.transport = opts.transport == "socket" ? fleet::Transport::kSocket
-                                               : fleet::Transport::kInproc;
 
   std::vector<runtime::Update> script =
       net::fuzzUpdateSequence(checked, opts.updates, opts.seed);
@@ -1007,10 +999,8 @@ int cmdFleet(const p4::CheckedProgram& checked, const Options& opts) {
   for (const auto& u : script) fc.broadcast(u);
   fc.drain();
   double drainSecs = drainTimer.elapsedSeconds();
-  std::printf("fleet: %zu device(s), %zu update(s) broadcast, jobs=%zu, "
-              "transport=%s\n",
-              fc.deviceCount(), script.size(), opts.jobs,
-              opts.transport.c_str());
+  std::printf("fleet: %zu device(s), %zu update(s) broadcast, jobs=%zu\n",
+              fc.deviceCount(), script.size(), opts.jobs);
   uint64_t applied = 0, rejected = 0, dropped = 0;
   for (size_t i = 0; i < fc.deviceCount(); ++i) {
     fleet::DeviceStatus s = fc.status(i);
@@ -1084,8 +1074,6 @@ int cmdReplay(const p4::CheckedProgram& checked, const Options& opts) {
   ropts.controller.specializer.jobs = 1;  // same rationale as cmdFleet
   ropts.controller.seed = opts.seed;
   ropts.deviceCompiler.searchIterations = opts.iterations;
-  ropts.transport = opts.transport == "socket" ? fleet::Transport::kSocket
-                                               : fleet::Transport::kInproc;
 
   replay::LiveReplayHarness harness(checked, ropts);
   replay::ReplayReport report = harness.run();
@@ -1127,13 +1115,12 @@ int cmdAgent(const p4::CheckedProgram& checked, const Options& opts) {
   bool ok = endpoint.serve();
   const fleet::AgentStats& st = endpoint.stats();
   std::printf("agent %s: batches=%llu applied=%llu rejected=%llu "
-              "retries=%llu bulkloads=%llu%s%s\n",
+              "retries=%llu%s%s\n",
               opts.deviceName.c_str(),
               static_cast<unsigned long long>(st.batches),
               static_cast<unsigned long long>(st.applied),
               static_cast<unsigned long long>(st.rejected),
               static_cast<unsigned long long>(st.retries),
-              static_cast<unsigned long long>(st.bulkLoads),
               ok ? "" : " FAILED", ctl.degraded() ? " DEGRADED" : "");
   if (!ok && !endpoint.lastError().empty()) {
     std::fprintf(stderr, "agent %s: %s\n", opts.deviceName.c_str(),
@@ -1158,6 +1145,17 @@ int cmdDaemon(const p4::CheckedProgram& checked, const Options& opts) {
     for (size_t i = 0; i < opts.devices; ++i) {
       std::string device = "dev" + std::to_string(i);
       std::string seed = std::to_string(opts.seed + i);
+      // Built before fork(): the child only execs.
+      std::vector<const char*> args = {
+          opts.argv0.c_str(), "agent", opts.file.c_str(),
+          "--connect", opts.listenPath.c_str(),
+          "--device", device.c_str(),
+          "--seed", seed.c_str()};
+      if (!opts.faultPlan.empty()) {
+        args.push_back("--fault-plan");
+        args.push_back(opts.faultPlan.c_str());
+      }
+      args.push_back(nullptr);
       pid_t pid = fork();
       if (pid < 0) {
         std::fprintf(stderr, "daemon: fork failed: %s\n",
@@ -1165,10 +1163,7 @@ int cmdDaemon(const p4::CheckedProgram& checked, const Options& opts) {
         return 1;
       }
       if (pid == 0) {
-        execl(opts.argv0.c_str(), opts.argv0.c_str(), "agent",
-              opts.file.c_str(), "--connect", opts.listenPath.c_str(),
-              "--device", device.c_str(), "--seed", seed.c_str(),
-              static_cast<char*>(nullptr));
+        execv(opts.argv0.c_str(), const_cast<char* const*>(args.data()));
         std::fprintf(stderr, "daemon: exec %s failed: %s\n",
                      opts.argv0.c_str(), std::strerror(errno));
         _Exit(127);
@@ -1354,12 +1349,6 @@ int main(int argc, char** argv) {
       if (opts.devices == 0) argError("--devices needs at least 1");
     } else if (arg == "--queue-cap") {
       opts.queueCap = parseNumber(value(&i, arg), "--queue-cap");
-    } else if (arg == "--transport") {
-      opts.transport = value(&i, arg);
-      if (opts.transport != "inproc" && opts.transport != "socket") {
-        argError("unknown --transport '" + opts.transport +
-                 "' (inproc, socket)");
-      }
     } else if (arg == "--listen") {
       opts.listenPath = value(&i, arg);
     } else if (arg == "--connect") {
