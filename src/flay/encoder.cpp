@@ -130,7 +130,9 @@ std::vector<Binding> ControlPlaneEncoder::encodeTable(
 
   // Normalization (priority sort + eclipse elimination) is part of the
   // precise control-plane representation; its cost is what Table 3 measures.
-  auto normalized = table.normalizedEntries();
+  // The view is memoized per table version, so tableShape() and migration
+  // reuse this one.
+  const auto& normalized = table.normalizedEntries();
 
   // Precise encoding: per-entry conditions in precedence order.
   std::vector<ExprRef> conds;

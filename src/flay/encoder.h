@@ -41,7 +41,8 @@ struct TableShape {
 /// two regimes (§4.1). Above `overapproxThreshold` the encoding leaves hit
 /// and action free, so every installed action counts as reachable — the
 /// counts alone, O(actions + keys). At or below it, the actions come from
-/// one normalizedEntries() call, so eclipsed entries' actions are pruned.
+/// the normalized view (memoized per table version, so the encoder and
+/// migration reuse it), so eclipsed entries' actions are pruned.
 /// Key exactness always comes from the masked-entry counts: an entry masked
 /// on a key can only be eclipsed by an entry masked on that key (a winner's
 /// mask must be a subset of the covered entry's), so the normalized entries

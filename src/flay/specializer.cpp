@@ -485,6 +485,31 @@ p4::CheckedProgram recheck(p4::Program program) {
   return checked;
 }
 
+namespace {
+
+/// True if `table`'s entries are valid under `decl` exactly as they are:
+/// the same keys (count, match kinds, widths), no entry masked on an exact
+/// key (migration drops those), and the same action list in the same order
+/// (entries' action slots index it).
+bool sameSchema(const runtime::TableState& table, const p4::TableDecl& decl) {
+  const p4::TableDecl& old = table.decl();
+  if (old.actionNames != decl.actionNames) return false;
+  if (old.keys.size() != decl.keys.size()) return false;
+  for (size_t k = 0; k < decl.keys.size(); ++k) {
+    if (old.keys[k].matchKind != decl.keys[k].matchKind ||
+        old.keys[k].expr->width != decl.keys[k].expr->width) {
+      return false;
+    }
+    if (decl.keys[k].matchKind == p4::MatchKind::kExact &&
+        table.maskedCounts()[k] != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
 runtime::DeviceConfig migrateConfig(const p4::CheckedProgram& specialized,
                                     const runtime::DeviceConfig& original,
                                     const MigrationTestHooks* hooks) {
@@ -500,11 +525,22 @@ runtime::DeviceConfig migrateConfig(const p4::CheckedProgram& specialized,
     for (const auto& a : decl.actionNames) {
       defaultOk |= a == oldTable.defaultActionName();
     }
+    const auto& normalized = oldTable.normalizedEntries();
+    // An unchanged schema with nothing eclipsed: the rebuild below would
+    // copy every entry unchanged, in the same precedence order, so share
+    // the original's contents instead. The entries keep their original ids
+    // where a rebuild renumbers them 1..n in precedence order; ties break
+    // by id either way, so lookups pick the same winners.
+    if (defaultOk && normalized.size() == oldTable.size() &&
+        sameSchema(oldTable, decl)) {
+      target = oldTable.reseated(target.control(), decl);
+      continue;
+    }
     if (defaultOk) {
       target.setDefaultAction(oldTable.defaultActionName(),
                               oldTable.defaultActionArgs());
     }
-    for (const runtime::TableEntry* e : oldTable.normalizedEntries()) {
+    for (const runtime::TableEntry* e : normalized) {
       runtime::TableEntry migrated;
       migrated.actionName = e->actionName;
       migrated.actionArgs = e->actionArgs;
@@ -550,10 +586,14 @@ runtime::DeviceConfig migrateConfig(const p4::CheckedProgram& specialized,
   }
   if (hooks != nullptr && hooks->dropOneEntry) {
     for (const auto& [name, table] : config.tables()) {
-      if (!table.empty()) {
-        config.table(name).remove(table.entries().back().id);
-        break;
-      }
+      if (table.empty()) continue;
+      // The last entry migrated: a rebuild inserts in precedence order, so
+      // it is the last one inserted; a shared table kept every entry, so it
+      // is the last of the normalized view.
+      bool shared = &table.entries() == &original.table(name).entries();
+      config.table(name).remove(shared ? table.normalizedEntries().back()->id
+                                       : table.entries().back().id);
+      break;
     }
   }
   return config;

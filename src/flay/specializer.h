@@ -91,7 +91,10 @@ struct MigrationTestHooks {
 
 /// Builds a DeviceConfig for the specialized program carrying over the
 /// original entries, converting match kinds where the specializer tightened
-/// keys and dropping entries of removed tables. `hooks` is for tests only.
+/// keys and dropping entries of removed tables. A table whose keys and
+/// action list specialization left unchanged, with no entry eclipsed,
+/// shares the original's contents instead of being rebuilt, so migrating
+/// costs O(tables changed). `hooks` is for tests only.
 runtime::DeviceConfig migrateConfig(const p4::CheckedProgram& specialized,
                                     const runtime::DeviceConfig& original,
                                     const MigrationTestHooks* hooks = nullptr);

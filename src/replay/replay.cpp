@@ -83,6 +83,11 @@ struct DeviceRuntime {
   uint64_t commitCap = 0;
   std::atomic<bool> converged{false};
   std::atomic<uint64_t> postPackets{0};
+  /// Sequence of the version the forwarding thread last served a packet on.
+  std::atomic<uint64_t> servedSeq{0};
+  /// Sequence of the version published at the latest degradation edge, 0
+  /// once the device is healthy again. Written by the epoch callback.
+  std::atomic<uint64_t> degradedSeq{0};
 
   // Epoch-callback-local (serialized per device by the fleet).
   uint64_t lastStamped = 0;
@@ -214,6 +219,10 @@ ReplayReport LiveReplayHarness::run() {
       if (!e.advanced && !degradedEdge) return;
       publishVersion(rt, *ctl, e.degraded, e.recovery);
       rt.lastPublishedDegraded = e.degraded;
+      if (degradedEdge) {
+        rt.degradedSeq.store(e.degraded ? rt.publishSeq : 0,
+                             std::memory_order_release);
+      }
       if (!e.advanced) return;
       lagHist.record(e.installLagMicros);
       robs.installLagUs.record(e.installLagMicros);
@@ -295,6 +304,7 @@ ReplayReport LiveReplayHarness::run() {
           st.degradedPackets += 1;
           window.degradedPackets += 1;
         }
+        rt.servedSeq.store(ver->sequence, std::memory_order_release);
 
         uint64_t committed = rt.committed.load(std::memory_order_acquire);
         sim::EpochStamp stamp{ver->epoch, committed};
@@ -391,6 +401,26 @@ ReplayReport LiveReplayHarness::run() {
     }
   };
 
+  // Re-admission waits until every degraded device has served a packet on
+  // the version published when it degraded, so each degraded episode is
+  // observed by the data plane however quickly the device recovers. The
+  // wait is bounded in case a forwarding thread has stopped.
+  auto awaitDegradedService = [&] {
+    constexpr auto kMaxWait = std::chrono::seconds(2);
+    auto deadline = std::chrono::steady_clock::now() + kMaxWait;
+    for (const auto& rt : runtimes) {
+      for (;;) {
+        uint64_t edge = rt->degradedSeq.load(std::memory_order_acquire);
+        if (edge == 0 ||
+            rt->servedSeq.load(std::memory_order_acquire) >= edge ||
+            std::chrono::steady_clock::now() >= deadline) {
+          break;
+        }
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+      }
+    }
+  };
+
   std::vector<std::thread> forwarders;
   forwarders.reserve(options_.devices);
   for (size_t i = 0; i < options_.devices; ++i) {
@@ -417,6 +447,7 @@ ReplayReport LiveReplayHarness::run() {
     if (++sinceDrain >= options_.drainEvery) {
       sinceDrain = 0;
       fc.drain();
+      awaitDegradedService();
       fc.tryRecoverAll();
       // Keep verification (and its version memory) flowing with the churn.
       for (size_t i = 0; i < options_.devices; ++i) verifyPending(i, 8);
@@ -429,6 +460,7 @@ ReplayReport LiveReplayHarness::run() {
   size_t rounds = 0;
   while (fc.degradedDevices() > 0 && rounds < options_.maxRecoveryRounds) {
     ++rounds;
+    awaitDegradedService();
     if (fc.tryRecoverAll() == 0) break;
     std::this_thread::sleep_for(std::chrono::microseconds(500));
   }

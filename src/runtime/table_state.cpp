@@ -7,14 +7,19 @@ namespace flay::runtime {
 
 TableState::TableState(const p4::ControlDecl& control,
                        const p4::TableDecl& decl)
-    : control_(&control),
-      decl_(&decl),
-      actionCounts_(decl.actionNames.size() + 2, 0),
-      maskedCounts_(decl.keys.size(), 0) {
-  defaultActionName_ = decl.defaultAction.name;
+    : TableState(control, decl, new Contents) {
+  Contents& c = *contents_;
+  c.actionCounts.assign(decl.actionNames.size() + 2, 0);
+  c.maskedCounts.assign(decl.keys.size(), 0);
+  c.defaultActionName = decl.defaultAction.name;
   for (const auto& arg : decl.defaultAction.args) {
-    defaultActionArgs_.push_back(arg->value);
+    c.defaultActionArgs.push_back(arg->value);
   }
+}
+
+TableState::TableState(const p4::ControlDecl& control,
+                       const p4::TableDecl& decl, Contents* contents)
+    : control_(&control), decl_(&decl), contents_(contents) {
   for (size_t i = 0; i < decl.keys.size(); ++i) {
     if (decl.keys[i].matchKind == p4::MatchKind::kTernary) hasTernary_ = true;
     if (decl.keys[i].matchKind == p4::MatchKind::kLpm) {
@@ -23,6 +28,77 @@ TableState::TableState(const p4::ControlDecl& control,
       ++lpmKeys_;
     }
   }
+}
+
+TableState::Contents::Contents(const Contents& other)
+    : entries(other.entries),
+      sigCount(other.sigCount),
+      idToIndex(other.idToIndex),
+      actionCounts(other.actionCounts),
+      maskedCounts(other.maskedCounts),
+      defaultActionName(other.defaultActionName),
+      defaultActionArgs(other.defaultActionArgs),
+      duplicateEntries(other.duplicateEntries),
+      nextId(other.nextId) {}
+
+TableState::TableState(const TableState& other) noexcept
+    : control_(other.control_),
+      decl_(other.decl_),
+      contents_(other.contents_),
+      hasTernary_(other.hasTernary_),
+      hasLpm_(other.hasLpm_),
+      lpmIndex_(other.lpmIndex_),
+      lpmKeys_(other.lpmKeys_) {
+  // Relaxed suffices: the new owner was made from one that stays alive
+  // throughout, so the count cannot reach zero concurrently.
+  contents_->owners.fetch_add(1, std::memory_order_relaxed);
+}
+
+TableState& TableState::operator=(const TableState& other) noexcept {
+  other.contents_->owners.fetch_add(1, std::memory_order_relaxed);
+  release(contents_);
+  control_ = other.control_;
+  decl_ = other.decl_;
+  contents_ = other.contents_;
+  hasTernary_ = other.hasTernary_;
+  hasLpm_ = other.hasLpm_;
+  lpmIndex_ = other.lpmIndex_;
+  lpmKeys_ = other.lpmKeys_;
+  return *this;
+}
+
+TableState::~TableState() { release(contents_); }
+
+void TableState::release(Contents* contents) {
+  // Release publishes this owner's reads of the block to whoever ends up
+  // alone with it: the deleting owner here (acquire half), or an owner that
+  // mutates in place after reading the count in mutableContents().
+  if (contents->owners.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    delete contents;
+  }
+}
+
+TableState::Contents& TableState::mutableContents() {
+  // Acquire pairs with release(): once the count reads 1, every access the
+  // other (now gone) owners made to the block happened before this
+  // mutation, even if they ran on other threads. The count cannot rise
+  // meanwhile: only this table could be copied, and copying it concurrently
+  // with a mutation is a data race by the usual rules.
+  if (contents_->owners.load(std::memory_order_acquire) == 1) {
+    contents_->memoReady.store(false, std::memory_order_relaxed);
+    contents_->normalized.clear();
+  } else {
+    Contents* clone = new Contents(*contents_);
+    release(contents_);
+    contents_ = clone;
+  }
+  return *contents_;
+}
+
+TableState TableState::reseated(const p4::ControlDecl& control,
+                                const p4::TableDecl& decl) const {
+  contents_->owners.fetch_add(1, std::memory_order_relaxed);
+  return TableState(control, decl, contents_);
 }
 
 void TableState::validate(const TableEntry& entry) const {
@@ -105,39 +181,41 @@ const std::string& TableState::actionSlotName(size_t slot) const {
   return slot < names.size() ? names[slot] : kBuiltins[slot - names.size()];
 }
 
-void TableState::countEntry(const TableEntry& e, bool installed) {
-  size_t& actions = actionCounts_[actionSlot(e.actionName)];
+void TableState::countEntry(Contents& c, const TableEntry& e,
+                            bool installed) const {
+  size_t& actions = c.actionCounts[actionSlot(e.actionName)];
   installed ? ++actions : --actions;
   for (size_t k = 0; k < e.matches.size(); ++k) {
     if (e.matches[k].isExactValued()) continue;
-    installed ? ++maskedCounts_[k] : --maskedCounts_[k];
+    installed ? ++c.maskedCounts[k] : --c.maskedCounts[k];
   }
 }
 
-void TableState::reindexFrom(size_t from) {
-  for (size_t i = from; i < entries_.size(); ++i) {
-    idToIndex_[entries_[i].id] = i;
-  }
+void TableState::install(Contents& c, TableEntry entry,
+                         std::string sig) const {
+  ++c.sigCount[std::move(sig)];
+  countEntry(c, entry, true);
+  c.idToIndex[entry.id] = c.entries.size();
+  c.entries.push_back(std::move(entry));
 }
 
 uint64_t TableState::insert(TableEntry entry) {
   validate(entry);
-  if (entries_.size() >= decl_->size) {
+  if (size() >= decl_->size) {
     throw std::invalid_argument(qualifiedName() + ": table is full (size " +
                                 std::to_string(decl_->size) + ")");
   }
   std::string sig = matchSignature(entry);
-  auto sit = sigCount_.find(sig);
-  if (sit != sigCount_.end() && sit->second > 0) {
+  auto sit = contents_->sigCount.find(sig);
+  if (sit != contents_->sigCount.end() && sit->second > 0) {
     throw std::invalid_argument(qualifiedName() +
                                 ": duplicate entry " + entry.toString());
   }
-  entry.id = nextId_++;
-  ++sigCount_[std::move(sig)];
-  countEntry(entry, true);
-  idToIndex_[entry.id] = entries_.size();
-  entries_.push_back(std::move(entry));
-  return entries_.back().id;
+  Contents& c = mutableContents();
+  entry.id = c.nextId++;
+  uint64_t id = entry.id;
+  install(c, std::move(entry), std::move(sig));
+  return id;
 }
 
 void TableState::restoreEntry(TableEntry entry) {
@@ -146,71 +224,78 @@ void TableState::restoreEntry(TableEntry entry) {
     throw std::invalid_argument(qualifiedName() +
                                 ": restoreEntry needs an explicit id");
   }
-  if (entries_.size() >= decl_->size) {
+  if (size() >= decl_->size) {
     throw std::invalid_argument(qualifiedName() + ": table is full (size " +
                                 std::to_string(decl_->size) + ")");
   }
-  if (idToIndex_.count(entry.id) != 0) {
+  if (contents_->idToIndex.count(entry.id) != 0) {
     throw std::invalid_argument(qualifiedName() + ": duplicate restored id " +
                                 std::to_string(entry.id));
   }
   std::string sig = matchSignature(entry);
-  auto sit = sigCount_.find(sig);
-  if (sit != sigCount_.end() && sit->second > 0) {
+  auto sit = contents_->sigCount.find(sig);
+  if (sit != contents_->sigCount.end() && sit->second > 0) {
     throw std::invalid_argument(qualifiedName() + ": duplicate entry " +
                                 entry.toString());
   }
-  if (entry.id >= nextId_) nextId_ = entry.id + 1;
-  ++sigCount_[std::move(sig)];
-  countEntry(entry, true);
-  idToIndex_[entry.id] = entries_.size();
-  entries_.push_back(std::move(entry));
+  Contents& c = mutableContents();
+  if (entry.id >= c.nextId) c.nextId = entry.id + 1;
+  install(c, std::move(entry), std::move(sig));
 }
+
+void TableState::setNextId(uint64_t id) { mutableContents().nextId = id; }
 
 void TableState::modify(TableEntry entry) {
   validate(entry);
-  auto it = idToIndex_.find(entry.id);
-  if (it == idToIndex_.end()) {
+  auto it = contents_->idToIndex.find(entry.id);
+  if (it == contents_->idToIndex.end()) {
     throw std::invalid_argument(qualifiedName() + ": no entry with id " +
                                 std::to_string(entry.id));
   }
-  TableEntry& e = entries_[it->second];
-  auto sit = sigCount_.find(matchSignature(e));
-  if (sit != sigCount_.end()) {
-    if (sit->second >= 2) --duplicateEntries_;
-    if (--sit->second == 0) sigCount_.erase(sit);
+  size_t index = it->second;
+  Contents& c = mutableContents();
+  TableEntry& e = c.entries[index];
+  auto sit = c.sigCount.find(matchSignature(e));
+  if (sit != c.sigCount.end()) {
+    if (sit->second >= 2) --c.duplicateEntries;
+    if (--sit->second == 0) c.sigCount.erase(sit);
   }
-  if (++sigCount_[matchSignature(entry)] >= 2) ++duplicateEntries_;
-  countEntry(e, false);
-  countEntry(entry, true);
+  if (++c.sigCount[matchSignature(entry)] >= 2) ++c.duplicateEntries;
+  countEntry(c, e, false);
+  countEntry(c, entry, true);
   e = std::move(entry);
 }
 
 void TableState::remove(uint64_t id) {
-  auto it = idToIndex_.find(id);
-  if (it == idToIndex_.end()) {
+  auto it = contents_->idToIndex.find(id);
+  if (it == contents_->idToIndex.end()) {
     throw std::invalid_argument(qualifiedName() + ": no entry with id " +
                                 std::to_string(id));
   }
   size_t index = it->second;
-  auto sit = sigCount_.find(matchSignature(entries_[index]));
-  if (sit != sigCount_.end()) {
-    if (sit->second >= 2) --duplicateEntries_;
-    if (--sit->second == 0) sigCount_.erase(sit);
+  Contents& c = mutableContents();
+  auto sit = c.sigCount.find(matchSignature(c.entries[index]));
+  if (sit != c.sigCount.end()) {
+    if (sit->second >= 2) --c.duplicateEntries;
+    if (--sit->second == 0) c.sigCount.erase(sit);
   }
-  countEntry(entries_[index], false);
-  idToIndex_.erase(it);
-  entries_.erase(entries_.begin() + static_cast<ptrdiff_t>(index));
-  reindexFrom(index);
+  countEntry(c, c.entries[index], false);
+  c.idToIndex.erase(id);
+  c.entries.erase(c.entries.begin() + static_cast<ptrdiff_t>(index));
+  // The erase shifted every later entry down by one.
+  for (size_t i = index; i < c.entries.size(); ++i) {
+    c.idToIndex[c.entries[i].id] = i;
+  }
 }
 
 void TableState::clear() {
-  entries_.clear();
-  sigCount_.clear();
-  idToIndex_.clear();
-  duplicateEntries_ = 0;
-  std::fill(actionCounts_.begin(), actionCounts_.end(), 0);
-  std::fill(maskedCounts_.begin(), maskedCounts_.end(), 0);
+  Contents& c = mutableContents();
+  c.entries.clear();
+  c.sigCount.clear();
+  c.idToIndex.clear();
+  c.duplicateEntries = 0;
+  std::fill(c.actionCounts.begin(), c.actionCounts.end(), 0);
+  std::fill(c.maskedCounts.begin(), c.maskedCounts.end(), 0);
 }
 
 void TableState::setDefaultAction(std::string actionName,
@@ -229,8 +314,9 @@ void TableState::setDefaultAction(std::string actionName,
     probe.matches.push_back(std::move(m));
   }
   validate(probe);
-  defaultActionName_ = std::move(actionName);
-  defaultActionArgs_ = std::move(args);
+  Contents& c = mutableContents();
+  c.defaultActionName = std::move(actionName);
+  c.defaultActionArgs = std::move(args);
 }
 
 bool TableState::precedes(const TableEntry& a, const TableEntry& b) const {
@@ -247,10 +333,26 @@ bool TableState::precedes(const TableEntry& a, const TableEntry& b) const {
   return a.id < b.id;
 }
 
-std::vector<const TableEntry*> TableState::normalizedEntries() const {
+const std::vector<const TableEntry*>& TableState::normalizedEntries() const {
+  const Contents& c = *contents_;
+  // Double-checked: copies sharing the block may ask from several threads
+  // at once; the first computes under the lock, the rest wait or see the
+  // acquire-published result.
+  if (!c.memoReady.load(std::memory_order_acquire)) {
+    std::lock_guard<std::mutex> lock(c.memoMu);
+    if (!c.memoReady.load(std::memory_order_relaxed)) {
+      c.normalized = normalize();
+      c.memoReady.store(true, std::memory_order_release);
+    }
+  }
+  return c.normalized;
+}
+
+std::vector<const TableEntry*> TableState::normalize() const {
+  const Contents& c = *contents_;
   std::vector<const TableEntry*> sorted;
-  sorted.reserve(entries_.size());
-  for (const auto& e : entries_) sorted.push_back(&e);
+  sorted.reserve(c.entries.size());
+  for (const auto& e : c.entries) sorted.push_back(&e);
   std::sort(sorted.begin(), sorted.end(),
             [this](const TableEntry* a, const TableEntry* b) {
               return precedes(*a, *b);
@@ -262,7 +364,7 @@ std::vector<const TableEntry*> TableState::normalizedEntries() const {
   // can manufacture. That makes normalization O(n log n) for FIB-shaped
   // tables, where the quadratic scan below would dominate million-entry
   // bulk loads.
-  if (!hasTernary_ && lpmKeys_ <= 1 && duplicateEntries_ == 0) return sorted;
+  if (!hasTernary_ && lpmKeys_ <= 1 && c.duplicateEntries == 0) return sorted;
   // Drop entries whose whole match region is covered by a single earlier
   // entry: they can never be the winning match. (Covering by a union of
   // earlier entries is not detected; that is an optimization, not a
@@ -283,7 +385,7 @@ std::vector<const TableEntry*> TableState::normalizedEntries() const {
 
 const TableEntry* TableState::lookup(const std::vector<BitVec>& key) const {
   const TableEntry* best = nullptr;
-  for (const auto& e : entries_) {
+  for (const auto& e : contents_->entries) {
     if (!e.matchesKey(key)) continue;
     if (best == nullptr || precedes(e, *best)) best = &e;
   }

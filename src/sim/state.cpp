@@ -9,7 +9,7 @@ DataPlaneState::DataPlaneState(const p4::CheckedProgram& checked) {
     for (const auto& r : control.registers) {
       RegisterArray arr;
       arr.width = r.width;
-      arr.cells.assign(r.size, BitVec::zero(r.width));
+      arr.size = r.size;
       registers_.emplace(control.name + "." + r.name, std::move(arr));
     }
     for (const auto& c : control.counters) {
@@ -35,9 +35,10 @@ const DataPlaneState::RegisterArray& DataPlaneState::reg(
 BitVec DataPlaneState::registerRead(const std::string& qualified,
                                     uint64_t index) const {
   const RegisterArray& arr = reg(qualified);
-  // Out-of-range indices read zero, matching BMv2's forgiving behaviour.
-  if (index >= arr.cells.size()) return BitVec::zero(arr.width);
-  return arr.cells[index];
+  // Out-of-range indices read zero, matching BMv2's forgiving behaviour;
+  // registerWrite() never stores them.
+  auto cell = arr.cells.find(index);
+  return cell == arr.cells.end() ? BitVec::zero(arr.width) : cell->second;
 }
 
 void DataPlaneState::registerWrite(const std::string& qualified,
@@ -46,7 +47,7 @@ void DataPlaneState::registerWrite(const std::string& qualified,
   if (it == registers_.end()) {
     throw std::invalid_argument("unknown register '" + qualified + "'");
   }
-  if (index >= it->second.cells.size()) return;  // silently dropped
+  if (index >= it->second.size) return;  // silently dropped
   it->second.cells[index] = value;
 }
 
@@ -89,10 +90,9 @@ void DataPlaneState::meterSetColor(const std::string& qualified,
 std::map<std::string, std::string> DataPlaneState::externSnapshot() const {
   std::map<std::string, std::string> snap;
   for (const auto& [name, arr] : registers_) {
-    for (size_t i = 0; i < arr.cells.size(); ++i) {
-      if (!arr.cells[i].isZero()) {
-        snap[name + "[" + std::to_string(i) + "]"] =
-            arr.cells[i].toHexString();
+    for (const auto& [index, value] : arr.cells) {
+      if (!value.isZero()) {
+        snap[name + "[" + std::to_string(index) + "]"] = value.toHexString();
       }
     }
   }
@@ -114,9 +114,7 @@ std::map<std::string, std::string> DataPlaneState::externSnapshot() const {
 }
 
 void DataPlaneState::reset() {
-  for (auto& [name, arr] : registers_) {
-    for (auto& c : arr.cells) c = BitVec::zero(arr.width);
-  }
+  for (auto& [name, arr] : registers_) arr.cells.clear();
   for (auto& [name, cells] : counters_) {
     for (auto& c : cells) c = 0;
   }

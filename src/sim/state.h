@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "p4/typecheck.h"
@@ -13,7 +14,9 @@ namespace flay::sim {
 
 /// Mutable data-plane state that persists across packets: register arrays,
 /// counters, and meter configurations. Keyed by qualified extern name
-/// ("Ingress.flow_bytes").
+/// ("Ingress.flow_bytes"). Register arrays hold only the cells written so
+/// far, so constructing and resetting the state costs O(externs), not
+/// O(cells).
 class DataPlaneState {
  public:
   explicit DataPlaneState(const p4::CheckedProgram& checked);
@@ -43,7 +46,9 @@ class DataPlaneState {
  private:
   struct RegisterArray {
     uint32_t width = 0;
-    std::vector<BitVec> cells;
+    uint64_t size = 0;
+    /// Written cells by index; a cell never written reads as zero.
+    std::unordered_map<uint64_t, BitVec> cells;
   };
   const RegisterArray& reg(const std::string& qualified) const;
 

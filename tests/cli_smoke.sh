@@ -143,6 +143,18 @@ expect_ok "fleet with a queue cap" \
 expect_ok "daemon drives spawned agent processes to a clean digest" \
   -- daemon "$PROG" --listen "${TMPDIR:-/tmp}/flayc-smoke-$$.sock" \
      --devices 2 --updates 10 --seed 1 --spawn
+DAEMONSTATE=${TMPDIR:-/tmp}/flayc-smoke-state-$$
+expect_ok "daemon passes each spawned agent its own state dir" \
+  -- daemon "$PROG" --listen "${TMPDIR:-/tmp}/flayc-smoke-$$.sock" \
+     --devices 2 --updates 10 --seed 1 --spawn --state-dir "$DAEMONSTATE"
+for dev in dev0 dev1; do
+  if [ -s "$DAEMONSTATE/$dev/journal.jsonl" ]; then
+    note "ok: daemon --spawn --state-dir left $dev/journal.jsonl"
+  else
+    fail "daemon --spawn --state-dir: no $dev/journal.jsonl under $DAEMONSTATE"
+  fi
+done
+rm -rf "$DAEMONSTATE"
 expect_ok "replay forwards packets under churn with all gates enforced" \
   -- replay "$PROG" --updates 12 --packets 2000 --devices 2 --jobs 2 \
      --seed 1 --mix heavy-hitter

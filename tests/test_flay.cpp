@@ -8,6 +8,7 @@
 #include "flay/specializer.h"
 #include "net/fuzzer.h"
 #include "net/headers.h"
+#include "net/workloads.h"
 #include "sim/interpreter.h"
 
 namespace flay::flay {
@@ -855,4 +856,205 @@ pipeline(P, C, D);
 }
 
 }  // namespace deadheaders
+// ---------------------------------------------------------------------------
+// Migration shares the tables specialization left unchanged
+// ---------------------------------------------------------------------------
+
+namespace migration {
+
+/// A table as migration rebuilt it before sharing: a fresh table under the
+/// specialized decl with the original's default action and its normalized
+/// entries inserted in precedence order (ids 1..n).
+runtime::TableState rebuild(const p4::CheckedProgram& specialized,
+                            const runtime::TableState& original,
+                            const std::string& name) {
+  runtime::DeviceConfig fresh(specialized);
+  runtime::TableState table = fresh.table(name);
+  table.setDefaultAction(original.defaultActionName(),
+                         original.defaultActionArgs());
+  for (const TableEntry* e : original.normalizedEntries()) {
+    TableEntry copy = *e;
+    copy.id = 0;
+    table.insert(std::move(copy));
+  }
+  return table;
+}
+
+std::string renderIgnoringIds(const TableEntry& e) {
+  std::string s = e.toString();
+  for (const FieldMatch& m : e.matches) {
+    s += " kind" + std::to_string(static_cast<int>(m.kind)) + " mask " +
+         m.mask.toHexString() + " len " + std::to_string(m.prefixLen);
+  }
+  return s;
+}
+
+/// Migrates `service`'s config onto its specialization and checks every
+/// shared table against the rebuild it replaces: the same normalized
+/// entries apart from ids, the same counts, and the same interpreter
+/// results (fields, egress, bytes, extern state) on fuzzed packets. Every
+/// migrated table, shared or not, must sit under the specialized program's
+/// declarations. Returns the migrated config and its specialized program.
+std::pair<runtime::DeviceConfig, size_t> expectSharedTablesMatchRebuilds(
+    const p4::CheckedProgram& checked, const FlayService& service,
+    const p4::CheckedProgram& specialized) {
+  const runtime::DeviceConfig& original = service.config();
+  runtime::DeviceConfig shared = migrateConfig(specialized, original);
+  runtime::DeviceConfig rebuilt = shared;
+
+  size_t sharedTables = 0;
+  for (const auto& [name, table] : shared.tables()) {
+    const p4::ControlDecl* control = nullptr;
+    for (const auto& c : specialized.program.controls) {
+      if (&c == &table.control()) control = &c;
+    }
+    EXPECT_NE(control, nullptr) << name << " is not under the specialized program";
+    if (control == nullptr) continue;
+    bool declFound = false;
+    for (const auto& d : control->tables) declFound |= &d == &table.decl();
+    EXPECT_TRUE(declFound) << name;
+
+    if (!original.hasTable(name) ||
+        &table.entries() != &original.table(name).entries()) {
+      continue;
+    }
+    ++sharedTables;
+    runtime::TableState& r = rebuilt.table(name);
+    r = rebuild(specialized, original.table(name), name);
+    const auto& a = table.normalizedEntries();
+    const auto& b = r.normalizedEntries();
+    EXPECT_EQ(a.size(), b.size()) << name;
+    for (size_t i = 0; i < a.size() && i < b.size(); ++i) {
+      EXPECT_EQ(renderIgnoringIds(*a[i]), renderIgnoringIds(*b[i]))
+          << name << " entry " << i;
+    }
+    EXPECT_EQ(table.defaultActionName(), r.defaultActionName()) << name;
+    EXPECT_EQ(table.actionCounts(), r.actionCounts()) << name;
+    EXPECT_EQ(table.maskedCounts(), r.maskedCounts()) << name;
+  }
+
+  sim::DataPlaneState stateShared(specialized);
+  sim::DataPlaneState stateRebuilt(specialized);
+  sim::Interpreter viaShared(specialized, shared, stateShared);
+  sim::Interpreter viaRebuilt(specialized, rebuilt, stateRebuilt);
+  net::PacketFuzzer fuzzer(checked, original, 29);
+  for (int i = 0; i < 300; ++i) {
+    sim::Packet packet = fuzzer.randomPacket();
+    sim::ExecResult a = viaShared.process(packet);
+    sim::ExecResult b = viaRebuilt.process(packet);
+    EXPECT_EQ(a.parserAccepted, b.parserAccepted) << "packet " << i;
+    EXPECT_EQ(a.dropped, b.dropped) << "packet " << i;
+    EXPECT_EQ(a.egressPort, b.egressPort) << "packet " << i;
+    EXPECT_EQ(a.outputBytes, b.outputBytes) << "packet " << i;
+    EXPECT_TRUE(a.fields == b.fields) << "packet " << i;
+    if (::testing::Test::HasFailure()) break;
+  }
+  EXPECT_EQ(stateShared.externSnapshot(), stateRebuilt.externSnapshot());
+  return {std::move(shared), sharedTables};
+}
+
+// migrateConfig re-seats an original table's contents under the specialized
+// program when specialization left its schema unchanged and nothing in it
+// is eclipsed. On fuzzed configs of three programs, every shared table must
+// be interchangeable with the rebuild it replaces.
+TEST(MigrationSharing, SharedTablesMatchTheRebuildTheyReplace) {
+  for (const char* prog : {"middleblock", "switch", "scion"}) {
+    SCOPED_TRACE(prog);
+    p4::CheckedProgram checked =
+        p4::loadProgramFromFile(net::programPath(prog));
+    FlayService service(checked);
+    if (std::string(prog) == "scion") {
+      // A generic fuzzed script leaves scion's path checks failing, so the
+      // specializer removes every table; light up both underlay chains and
+      // add fuzzed routes instead.
+      service.bulkLoad(net::scionCommonConfig());
+      service.bulkLoad(net::scionV4Config(8));
+      service.bulkLoad(net::scionV6Config(8));
+      service.bulkLoad(net::scionV4RouteBurst(64));
+    } else {
+      service.bulkLoad(net::fuzzUpdateSequence(checked, 400, 23));
+    }
+    p4::CheckedProgram specialized =
+        recheck(Specializer(service).specialize().program);
+    EXPECT_GT(
+        expectSharedTablesMatchRebuilds(checked, service, specialized).second,
+        2u);
+  }
+}
+
+// A table whose keys the specializer tightened (full-mask ternary -> exact)
+// is rebuilt, not shared: its entries are converted to the new match kinds
+// and lose their priorities. A table that kept its schema is shared.
+TEST(MigrationSharing, ChangedSchemasAreRebuilt) {
+  p4::CheckedProgram checked = p4::loadProgramFromString(kDiffProgram);
+  FlayService service(checked);
+  TableEntry route;
+  route.matches.push_back(FieldMatch::lpm(BitVec(32, 0x0A000000), 8));
+  route.actionName = "fwd";
+  route.actionArgs.push_back(BitVec(9, 3));
+  service.applyUpdate(Update::insert("Ingress.route", route));
+  route.matches[0] = FieldMatch::lpm(BitVec(32, 0x0A010000), 16);
+  route.actionName = "drop_pkt";
+  route.actionArgs.clear();
+  service.applyUpdate(Update::insert("Ingress.route", route));
+  // Every declared action reachable: the route table keeps its schema.
+  route.matches[0] = FieldMatch::lpm(BitVec(32, 0x0B000000), 8);
+  route.actionName = "noop";
+  service.applyUpdate(Update::insert("Ingress.route", route));
+  TableEntry acl;
+  acl.matches.push_back(
+      FieldMatch::ternary(BitVec(32, 0xC0A80101), BitVec::allOnes(32)));
+  acl.matches.push_back(FieldMatch::ternary(BitVec(8, 6), BitVec(8, 0xFF)));
+  acl.actionName = "drop_pkt";
+  acl.priority = 5;
+  service.applyUpdate(Update::insert("Ingress.acl", acl));
+  p4::CheckedProgram specialized =
+      recheck(Specializer(service).specialize().program);
+  auto [migrated, sharedTables] =
+      expectSharedTablesMatchRebuilds(checked, service, specialized);
+  EXPECT_EQ(sharedTables, 1u);
+  EXPECT_EQ(&migrated.table("Ingress.route").entries(),
+            &service.config().table("Ingress.route").entries());
+  const runtime::TableState& migratedAcl = migrated.table("Ingress.acl");
+  EXPECT_NE(&migratedAcl.entries(),
+            &service.config().table("Ingress.acl").entries());
+  ASSERT_EQ(migratedAcl.size(), 1u);
+  for (const FieldMatch& m : migratedAcl.entries()[0].matches) {
+    EXPECT_EQ(m.kind, p4::MatchKind::kExact);
+  }
+  EXPECT_EQ(migratedAcl.entries()[0].priority, 0);
+}
+
+// A table that keeps its schema but holds an eclipsed entry is rebuilt
+// without that entry rather than shared with it.
+TEST(MigrationSharing, TablesWithEclipsedEntriesAreRebuilt) {
+  p4::CheckedProgram checked = p4::loadProgramFromString(kDiffProgram);
+  FlayService service(checked);
+  auto acl = [&](uint64_t src, uint64_t srcMask, uint64_t proto,
+                 uint64_t protoMask, const char* action, int32_t priority) {
+    TableEntry e;
+    e.matches.push_back(
+        FieldMatch::ternary(BitVec(32, src), BitVec(32, srcMask)));
+    e.matches.push_back(
+        FieldMatch::ternary(BitVec(8, proto), BitVec(8, protoMask)));
+    e.actionName = action;
+    e.priority = priority;
+    service.applyUpdate(Update::insert("Ingress.acl", e));
+  };
+  acl(0, 0, 17, 0xFF, "noop", 10);
+  acl(0x0A000001, 0xFFFFFFFF, 17, 0xFF, "drop_pkt", 1);  // eclipsed
+  acl(0xC0A80101, 0xFFFFFFFF, 0, 0, "drop_pkt", 5);
+  const runtime::TableState& original = service.config().table("Ingress.acl");
+  ASSERT_EQ(original.normalizedEntries().size(), 2u);
+  p4::CheckedProgram specialized =
+      recheck(Specializer(service).specialize().program);
+  runtime::DeviceConfig migrated =
+      expectSharedTablesMatchRebuilds(checked, service, specialized).first;
+  const runtime::TableState& migratedAcl = migrated.table("Ingress.acl");
+  EXPECT_EQ(migratedAcl.decl().keys.size(), 2u);
+  EXPECT_NE(&migratedAcl.entries(), &original.entries());
+  EXPECT_EQ(migratedAcl.size(), 2u);
+}
+
+}  // namespace migration
 }  // namespace flay::flay

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <deque>
+#include <memory>
+#include <mutex>
 #include <random>
+#include <thread>
 
 #include "flay/encoder.h"
 #include "net/fuzzer.h"
@@ -433,6 +438,74 @@ TEST_F(RuntimeTest, ModifyMadeDuplicateDisablesNoEclipseFastPath) {
   EXPECT_EQ(after[0]->id, b);
 }
 
+/// A random entry for `t` from a small key space, so that inserts collide
+/// and entries eclipse one another often.
+TableEntry randomEntry(std::mt19937_64& rng, const TableState& t) {
+  TableEntry e;
+  for (const auto& k : t.decl().keys) {
+    uint32_t w = k.expr->width;
+    switch (k.matchKind) {
+      case p4::MatchKind::kExact:
+        e.matches.push_back(FieldMatch::exact(BitVec(w, rng() % 6)));
+        break;
+      case p4::MatchKind::kTernary: {
+        static const uint64_t kMasks[] = {0x00, 0x0F, 0xF0, 0xFF, 0xFF};
+        e.matches.push_back(FieldMatch::ternary(
+            BitVec(w, rng() % 24), BitVec(w, kMasks[rng() % 5])));
+        break;
+      }
+      case p4::MatchKind::kLpm:
+        e.matches.push_back(FieldMatch::lpm(
+            BitVec(w, ((rng() % 3) << 24) | ((rng() % 3) << 16)),
+            static_cast<uint32_t>(rng() % 5) * 8));
+        break;
+    }
+  }
+  const auto& actions = t.decl().actionNames;
+  e.actionName = rng() % 8 == 0 ? "NoAction" : actions[rng() % actions.size()];
+  if (e.actionName == "set_a") e.actionArgs.push_back(BitVec(8, rng() % 4));
+  if (t.usesPriority()) e.priority = 1 + static_cast<int32_t>(rng() % 3);
+  return e;
+}
+
+/// One step of a seeded mutation script on `t`: insert, modify (a third of
+/// them copying another entry's match set, i.e. a modify-made duplicate),
+/// remove, restoreEntry of a removed entry with its id, or clear. Returns
+/// false for a skipped step (nothing to restore); throws
+/// std::invalid_argument for a rejected one.
+bool randomMutation(std::mt19937_64& rng, TableState& t,
+                    std::vector<TableEntry>& removed) {
+  uint64_t op = rng() % 100;
+  auto pick = [&]() -> const TableEntry& {
+    return t.entries()[rng() % t.size()];
+  };
+  if (op < 40 || t.empty()) {
+    t.insert(randomEntry(rng, t));
+  } else if (op < 60) {
+    TableEntry mod = randomEntry(rng, t);
+    if (rng() % 3 == 0) {
+      const TableEntry& other = pick();
+      mod.matches = other.matches;
+      mod.priority = other.priority;
+    }
+    mod.id = pick().id;
+    t.modify(std::move(mod));
+  } else if (op < 82) {
+    TableEntry victim = pick();
+    t.remove(victim.id);
+    removed.push_back(std::move(victim));
+  } else if (op < 97) {
+    if (removed.empty()) return false;
+    TableEntry back = std::move(removed.back());
+    removed.pop_back();
+    t.restoreEntry(std::move(back));
+  } else {
+    removed.insert(removed.end(), t.entries().begin(), t.entries().end());
+    t.clear();
+  }
+  return true;
+}
+
 // The two counts TableState keeps on every mutation (installed entries per
 // action, and per key the entries not exact-valued on it) must equal a
 // recount over entries() after every step of a random mutation script,
@@ -441,33 +514,6 @@ TEST_F(RuntimeTest, ModifyMadeDuplicateDisablesNoEclipseFastPath) {
 // eclipsed by an entry masked on that key.
 TEST_F(RuntimeTest, CountsMatchRecountUnderRandomMutationScripts) {
   std::mt19937_64 rng(20261017);
-  auto randomEntry = [&rng](const TableState& t) {
-    TableEntry e;
-    for (const auto& k : t.decl().keys) {
-      uint32_t w = k.expr->width;
-      switch (k.matchKind) {
-        case p4::MatchKind::kExact:
-          e.matches.push_back(FieldMatch::exact(BitVec(w, rng() % 6)));
-          break;
-        case p4::MatchKind::kTernary: {
-          static const uint64_t kMasks[] = {0x00, 0x0F, 0xF0, 0xFF, 0xFF};
-          e.matches.push_back(FieldMatch::ternary(
-              BitVec(w, rng() % 24), BitVec(w, kMasks[rng() % 5])));
-          break;
-        }
-        case p4::MatchKind::kLpm:
-          e.matches.push_back(FieldMatch::lpm(
-              BitVec(w, ((rng() % 3) << 24) | ((rng() % 3) << 16)),
-              static_cast<uint32_t>(rng() % 5) * 8));
-          break;
-      }
-    }
-    const auto& actions = t.decl().actionNames;
-    e.actionName = rng() % 8 == 0 ? "NoAction" : actions[rng() % actions.size()];
-    if (e.actionName == "set_a") e.actionArgs.push_back(BitVec(8, rng() % 4));
-    if (t.usesPriority()) e.priority = 1 + static_cast<int32_t>(rng() % 3);
-    return e;
-  };
   auto check = [](const TableState& t, const std::string& where) {
     std::vector<size_t> actions(t.actionCounts().size(), 0);
     std::vector<size_t> masked(t.decl().keys.size(), 0);
@@ -484,7 +530,7 @@ TEST_F(RuntimeTest, CountsMatchRecountUnderRandomMutationScripts) {
     }
     EXPECT_EQ(t.actionCounts(), actions) << where;
     EXPECT_EQ(t.maskedCounts(), masked) << where;
-    auto normalized = t.normalizedEntries();
+    const auto& normalized = t.normalizedEntries();
     for (size_t k = 0; k < masked.size(); ++k) {
       bool exact = true;
       for (const TableEntry* e : normalized) {
@@ -515,36 +561,8 @@ TEST_F(RuntimeTest, CountsMatchRecountUnderRandomMutationScripts) {
     size_t applied = 0;
     for (int step = 0; step < 400; ++step) {
       std::string where = std::string(name) + " step " + std::to_string(step);
-      uint64_t op = rng() % 100;
-      auto pick = [&]() -> const TableEntry& {
-        return t.entries()[rng() % t.size()];
-      };
       try {
-        if (op < 40 || t.empty()) {
-          t.insert(randomEntry(t));
-        } else if (op < 60) {
-          TableEntry mod = randomEntry(t);
-          if (rng() % 3 == 0) {
-            // Copy another entry's match set: a modify-made duplicate.
-            const TableEntry& other = pick();
-            mod.matches = other.matches;
-            mod.priority = other.priority;
-          }
-          mod.id = pick().id;
-          t.modify(std::move(mod));
-        } else if (op < 82) {
-          TableEntry victim = pick();
-          t.remove(victim.id);
-          removed.push_back(std::move(victim));
-        } else if (op < 97) {
-          if (removed.empty()) continue;
-          TableEntry back = std::move(removed.back());
-          removed.pop_back();
-          t.restoreEntry(std::move(back));
-        } else {
-          removed.insert(removed.end(), t.entries().begin(), t.entries().end());
-          t.clear();
-        }
+        if (!randomMutation(rng, t, removed)) continue;
         ++applied;
       } catch (const std::invalid_argument&) {
         // Rejected (duplicate, full table, restored id clash): the counts
@@ -554,6 +572,183 @@ TEST_F(RuntimeTest, CountsMatchRecountUnderRandomMutationScripts) {
       if (::testing::Test::HasFatalFailure()) return;
     }
     EXPECT_GT(applied, 200u) << name;
+  }
+}
+
+/// Everything a copy of a table must keep: entries with their ids, the
+/// default action, the id allocator, both counts, and the normalized view.
+std::string render(const TableState& t) {
+  std::string s = "default " + t.defaultActionName();
+  for (const BitVec& arg : t.defaultActionArgs()) s += " " + arg.toHexString();
+  s += "; next " + std::to_string(t.nextId()) + "; entries";
+  for (const TableEntry& e : t.entries()) {
+    s += " #" + std::to_string(e.id) + " " + e.toString();
+  }
+  s += "; actions";
+  for (size_t n : t.actionCounts()) s += " " + std::to_string(n);
+  s += "; masked";
+  for (size_t n : t.maskedCounts()) s += " " + std::to_string(n);
+  s += "; normalized";
+  for (const TableEntry* e : t.normalizedEntries()) {
+    s += " #" + std::to_string(e->id);
+  }
+  return s;
+}
+
+/// Ids of the normalized view computed afresh, bypassing `t`'s memo: a
+/// mutation of a copy clones the contents, and a clone starts without one.
+std::vector<uint64_t> freshNormalizedIds(const TableState& t) {
+  TableState fresh = t;
+  fresh.setNextId(fresh.nextId());
+  std::vector<uint64_t> ids;
+  for (const TableEntry* e : fresh.normalizedEntries()) ids.push_back(e->id);
+  return ids;
+}
+
+// Copies share their contents until one side mutates, and every mutator
+// clones shared contents first: a ring of copies taken between the steps of
+// a random mutation script (default-action flips and id-allocator bumps
+// included) must each keep rendering exactly as when it was taken, whether
+// the source or the copy is mutated afterwards. A fresh copy's entries()
+// is its source's until a successful mutation of either; the normalized
+// view memoized per contents version must equal a fresh computation.
+TEST_F(RuntimeTest, CopiesKeepTheirContentsUnderRandomMutationScripts) {
+  std::mt19937_64 rng(20261019);
+  struct Held {
+    TableState table;
+    std::string reference;
+    std::vector<TableEntry> removed;
+  };
+  for (const char* name : {"C.exact_t", "C.ternary_t", "C.lpm_t"}) {
+    TableState& t = config.table(name);
+    std::vector<TableEntry> removed;
+    std::deque<Held> ring;
+    size_t mutated = 0, copyMutated = 0;
+    auto mutate = [&](TableState& target, std::vector<TableEntry>& pool) {
+      uint64_t op = rng() % 20;
+      if (op == 0) {
+        const auto& actions = target.decl().actionNames;
+        std::string action = actions[rng() % actions.size()];
+        std::vector<BitVec> args;
+        if (action == "set_a") args.push_back(BitVec(8, rng() % 4));
+        target.setDefaultAction(action, std::move(args));
+        return true;
+      }
+      if (op == 1) {
+        target.setNextId(target.nextId() + 1 + rng() % 3);
+        return true;
+      }
+      return randomMutation(rng, target, pool);
+    };
+    for (int step = 0; step < 400; ++step) {
+      std::string where = std::string(name) + " step " + std::to_string(step);
+      if (!ring.empty() && rng() % 8 == 0) {
+        // Mutate a held copy: the source must not notice.
+        Held& h = ring[rng() % ring.size()];
+        std::string before = render(t);
+        try {
+          if (mutate(h.table, h.removed)) {
+            h.reference = render(h.table);
+            ++copyMutated;
+          }
+        } catch (const std::invalid_argument&) {
+        }
+        EXPECT_EQ(render(t), before) << where;
+      } else {
+        const std::vector<TableEntry>* block = &t.entries();
+        bool ok = false;
+        try {
+          ok = mutate(t, removed);
+        } catch (const std::invalid_argument&) {
+        }
+        if (ok) {
+          ++mutated;
+          for (const Held& h : ring) {
+            EXPECT_NE(&h.table.entries(), &t.entries()) << where;
+          }
+        } else {
+          EXPECT_EQ(&t.entries(), block) << where << ": rejected step cloned";
+        }
+      }
+      for (const Held& h : ring) {
+        ASSERT_EQ(render(h.table), h.reference) << where;
+      }
+      std::vector<uint64_t> memo;
+      for (const TableEntry* e : t.normalizedEntries()) memo.push_back(e->id);
+      ASSERT_EQ(memo, freshNormalizedIds(t)) << where;
+      if (rng() % 2 == 0) {
+        ring.push_back({t, render(t), removed});
+        EXPECT_EQ(&ring.back().table.entries(), &t.entries()) << where;
+        if (ring.size() > 6) ring.pop_front();
+      }
+    }
+    EXPECT_GT(mutated, 150u) << name;
+    EXPECT_GT(copyMutated, 10u) << name;
+  }
+}
+
+// Copies of a config can be read and dropped on other threads while the
+// owner keeps mutating it: after each update the owner hands a copy to
+// whichever reader takes it first, readers copy it again, normalize every
+// table (several threads at once on the same contents) and drop both, and
+// the owner's next mutation decides between cloning and mutating in place
+// as those drops land. Run under ThreadSanitizer, this guards the
+// sole-owner test and the memo.
+TEST_F(RuntimeTest, ConfigCopiesCanBeReadAndDroppedOnOtherThreads) {
+  std::mutex mu;
+  std::shared_ptr<const DeviceConfig> handoff;
+  std::atomic<bool> done{false};
+  std::atomic<size_t> reads{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) {
+    readers.emplace_back([&] {
+      while (!done.load(std::memory_order_acquire)) {
+        std::shared_ptr<const DeviceConfig> taken;
+        {
+          std::lock_guard<std::mutex> lock(mu);
+          taken = std::move(handoff);
+        }
+        if (taken == nullptr) {
+          std::this_thread::yield();
+          continue;
+        }
+        const DeviceConfig copy = *taken;
+        for (const DeviceConfig* view : {taken.get(), &copy}) {
+          for (const auto& [name, table] : view->tables()) {
+            const auto& normalized = table.normalizedEntries();
+            const TableEntry* first = table.entries().data();
+            for (const TableEntry* e : normalized) {
+              ASSERT_TRUE(e >= first && e < first + table.size()) << name;
+            }
+            ASSERT_LE(normalized.size(), table.size()) << name;
+          }
+        }
+        reads.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  std::mt19937_64 rng(7);
+  std::vector<TableEntry> removed[2];
+  const char* names[] = {"C.ternary_t", "C.lpm_t"};
+  // Keep mutating until the readers have overlapped with the mutations.
+  for (int step = 0; step < 600 || reads.load(std::memory_order_relaxed) < 200;
+       ++step) {
+    size_t which = rng() % 2;
+    try {
+      randomMutation(rng, config.table(names[which]), removed[which]);
+    } catch (const std::invalid_argument&) {
+    }
+    auto copy = std::make_shared<const DeviceConfig>(config);
+    std::lock_guard<std::mutex> lock(mu);
+    handoff = std::move(copy);
+  }
+  done.store(true, std::memory_order_release);
+  for (std::thread& t : readers) t.join();
+  for (const char* name : names) {
+    const TableState& t = config.table(name);
+    std::vector<uint64_t> memo;
+    for (const TableEntry* e : t.normalizedEntries()) memo.push_back(e->id);
+    EXPECT_EQ(memo, freshNormalizedIds(t)) << name;
   }
 }
 

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include "net/fuzzer.h"
 #include "net/headers.h"
+#include "net/workloads.h"
 #include "p4/typecheck.h"
 #include "sim/interpreter.h"
 
@@ -355,6 +357,112 @@ pipeline(P, C, D);
   ExecResult r9 = interp.process(p9);
   ASSERT_EQ(r9.outputBytes.size(), 1u);  // a invalidated, only b emitted
   EXPECT_EQ(r9.outputBytes[0], 0x55);
+}
+
+/// The extern state as a dense array per extern would hold it: every cell
+/// of every register, counter and meter read back through the public API,
+/// rendered the way externSnapshot() documents (cells that differ from
+/// zero).
+std::map<std::string, std::string> denseSnapshot(
+    const p4::CheckedProgram& checked, const DataPlaneState& state) {
+  std::map<std::string, std::string> snap;
+  auto cell = [](const std::string& name, uint64_t i) {
+    return name + "[" + std::to_string(i) + "]";
+  };
+  for (const auto& control : checked.program.controls) {
+    for (const auto& r : control.registers) {
+      std::string name = control.name + "." + r.name;
+      for (uint64_t i = 0; i < r.size; ++i) {
+        BitVec v = state.registerRead(name, i);
+        EXPECT_EQ(v.width(), r.width) << cell(name, i);
+        if (!v.isZero()) snap[cell(name, i)] = v.toHexString();
+      }
+    }
+    for (const auto& c : control.counters) {
+      std::string name = control.name + "." + c.name;
+      for (uint64_t i = 0; i < c.size; ++i) {
+        uint64_t v = state.counterValue(name, i);
+        if (v != 0) snap[cell(name, i)] = std::to_string(v);
+      }
+    }
+    for (const auto& m : control.meters) {
+      std::string name = control.name + "." + m.name;
+      for (uint64_t i = 0; i < m.size; ++i) {
+        uint32_t v = state.meterExecute(name, i);
+        if (v != 0) snap[cell(name, i)] = std::to_string(v);
+      }
+    }
+  }
+  return snap;
+}
+
+// Register arrays store only the cells written, so the behaviour a dense
+// array gives must still hold: after a packet run on switch.p4l (16384 +
+// 4096 register cells) externSnapshot() lists exactly the non-zero cells;
+// writing zero clears a cell from it; out-of-range reads give zero of the
+// register's width and out-of-range writes change nothing; unknown names
+// throw; and reset() returns every cell to zero, like a fresh state.
+TEST(SimDataPlaneState, SparseRegistersBehaveLikeDenseArrays) {
+  p4::CheckedProgram checked =
+      p4::loadProgramFromFile(net::programPath("switch"));
+  runtime::DeviceConfig config(checked);
+  for (const runtime::Update& u : net::fuzzUpdateSequence(checked, 200, 3)) {
+    try {
+      config.apply(u);
+    } catch (const std::invalid_argument&) {
+    }
+  }
+  // A dmac miss then indexes learn_hits in range (l2_miss_flood's 0xFFFF is
+  // out of range), so the packets write register cells.
+  config.apply(runtime::Update::setDefault("SwitchIngress.dmac_fwd", "l2_hit",
+                                           {BitVec(16, 7)}));
+  DataPlaneState state(checked);
+  EXPECT_TRUE(state.externSnapshot().empty());
+  EXPECT_TRUE(denseSnapshot(checked, state).empty());
+
+  Interpreter interp(checked, config, state);
+  net::PacketFuzzer fuzzer(checked, config, 17);
+  std::vector<Packet> packets;
+  for (int i = 0; i < 400; ++i) packets.push_back(fuzzer.randomPacket());
+  for (const Packet& p : packets) interp.process(p);
+  std::map<std::string, std::string> afterRun = state.externSnapshot();
+  size_t registerCells = 0;
+  for (const auto& [name, value] : afterRun) {
+    registerCells += name.rfind("SwitchIngress.learn_hits[", 0) == 0 ||
+                     name.rfind("SwitchIngress.flow_bytes[", 0) == 0;
+  }
+  EXPECT_GT(registerCells, 0u);
+  EXPECT_EQ(afterRun, denseSnapshot(checked, state));
+
+  // Out of range: reads are zero of the register's width, writes vanish.
+  const std::string reg = "SwitchIngress.learn_hits";
+  EXPECT_EQ(state.registerRead(reg, 4096), BitVec::zero(16));
+  EXPECT_EQ(state.registerRead(reg, uint64_t{1} << 40), BitVec::zero(16));
+  state.registerWrite(reg, 4096, BitVec(16, 7));
+  state.registerWrite(reg, uint64_t{1} << 40, BitVec(16, 7));
+  state.counterIncrement("SwitchIngress.port_rx", 1u << 20);
+  EXPECT_EQ(state.counterValue("SwitchIngress.port_rx", 1u << 20), 0u);
+  EXPECT_EQ(state.externSnapshot(), afterRun);
+
+  // The last in-range cell holds a write; writing zero clears it again.
+  state.registerWrite(reg, 4095, BitVec(16, 0x2a));
+  EXPECT_EQ(state.registerRead(reg, 4095), BitVec(16, 0x2a));
+  EXPECT_EQ(state.externSnapshot().at(reg + "[4095]"), "0x002a");
+  state.registerWrite(reg, 4095, BitVec::zero(16));
+  EXPECT_EQ(state.externSnapshot(), afterRun);
+  EXPECT_EQ(state.externSnapshot(), denseSnapshot(checked, state));
+
+  EXPECT_THROW(state.registerRead("SwitchIngress.nope", 0),
+               std::invalid_argument);
+  EXPECT_THROW(state.registerWrite("SwitchIngress.nope", 0, BitVec(8, 1)),
+               std::invalid_argument);
+
+  // reset() is a fresh state: the same packets leave the same snapshot.
+  state.reset();
+  EXPECT_TRUE(state.externSnapshot().empty());
+  EXPECT_TRUE(denseSnapshot(checked, state).empty());
+  for (const Packet& p : packets) interp.process(p);
+  EXPECT_EQ(state.externSnapshot(), afterRun);
 }
 
 }  // namespace

@@ -9,7 +9,9 @@
 # of devices by direct calls. For the same program, update count and seed,
 # every agent must end on the per-device state digest the in-process fleet
 # reports. Committed state does not depend on device faults, so a leg with a
-# fault plan (forwarded by the daemon to every agent) must match as well.
+# fault plan must match as well. The daemon gives agent i the controller and
+# fault-plan seeds the fleet gives member i, so on that leg each agent's
+# install retries must also equal its in-process counterpart's.
 set -u
 
 FLAYC=$1
@@ -47,9 +49,26 @@ compare() {
   fi
 }
 
+# check_retries <label> <devices>: after a compare, agent dev<i> reports the
+# retries= count that the fleet's dev<i> reports.
+check_retries() {
+  label=$1; devices=$2; i=0
+  while [ "$i" -lt "$devices" ]; do
+    fleet_r=$(sed -n "s/^  dev$i: .* retries=\([0-9]*\) .*/\1/p" "$TMP/fleet.out")
+    agent_r=$(sed -n "s/^agent dev$i: .* retries=\([0-9]*\).*/\1/p" "$TMP/daemon.out")
+    if [ -z "$fleet_r" ] || [ "$agent_r" != "$fleet_r" ]; then
+      fail "$label: agent dev$i retries '$agent_r' != fleet dev$i retries '$fleet_r'"
+    else
+      note "ok: $label: dev$i retries=$agent_r in both deployments"
+    fi
+    i=$((i + 1))
+  done
+}
+
 compare "middleblock" middleblock 3 30 1 --jobs 2
 compare "switch" switch 3 30 1 --jobs 2
 compare "middleblock faulty" middleblock 2 24 2 --fault-plan flaky
+check_retries "middleblock faulty" 2
 compare "scion" scion 2 20 3
 
 if [ "$failures" -ne 0 ]; then

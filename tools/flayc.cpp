@@ -75,15 +75,18 @@
 //                       spec like "fail-first=2,seed=7"; the oracle then
 //                       checks the degradation invariant. fleet/replay/
 //                       agent: every device runs the plan; daemon --spawn
-//                       passes it to each agent it starts
+//                       passes it to each agent it starts, with the plan
+//                       seed offset by the device index as in the fleet
 //   --jobs N            specialize/fuzz/difftest/crashtest: run the
 //                       semantics-check probes of each specialization on N
 //                       threads (default 1; verdicts are identical at any N)
 //   --kill-points K     crashtest: number of simulated-SIGKILL positions (20)
-//   --checkpoint-every C  crashtest/fleet: updates between checkpoints (16)
+//   --checkpoint-every C  crashtest/fleet/agent: updates between checkpoints
+//                       (16); daemon --spawn passes it to its agents
 //   --state-dir DIR     crashtest: journal/checkpoint directory (default: a
 //                       fresh directory under the current one, removed after)
-//                       fleet: per-device journal root (default: in-memory)
+//                       fleet and daemon --spawn: per-device journal root,
+//                       DIR/dev<i> (default: in-memory); agent: its own dir
 //   --devices N         fleet: number of managed devices (default 4)
 //   --queue-cap Q       fleet: per-device work-queue capacity; updates
 //                       enqueued beyond it are dropped, never blocking the
@@ -116,6 +119,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <optional>
 #include <random>
@@ -1142,19 +1146,42 @@ int cmdDaemon(const p4::CheckedProgram& checked, const Options& opts) {
 
   std::vector<pid_t> children;
   if (opts.spawnAgents) {
+    // Each agent gets what FleetController gives member i: controller seed
+    // and fault-plan seed offset by i, and its own state dir under DIR.
+    std::optional<ctrl::FaultPlan> plan;
+    if (!opts.faultPlan.empty()) plan = parseFaultPlan(opts.faultPlan);
+    if (!opts.stateDir.empty()) {
+      std::filesystem::create_directories(opts.stateDir);
+    }
+    const std::string checkpointEvery = std::to_string(opts.checkpointEvery);
+    const std::string iterations = std::to_string(opts.iterations);
     for (size_t i = 0; i < opts.devices; ++i) {
       std::string device = "dev" + std::to_string(i);
       std::string seed = std::to_string(opts.seed + i);
+      std::string planText;
+      if (plan) {
+        ctrl::FaultPlan member = *plan;
+        member.seed = plan->seed + i;
+        planText = member.toString();
+      }
+      std::string stateDir = opts.stateDir + "/" + device;
       // Built before fork(): the child only execs.
       std::vector<const char*> args = {
           opts.argv0.c_str(), "agent", opts.file.c_str(),
           "--connect", opts.listenPath.c_str(),
           "--device", device.c_str(),
-          "--seed", seed.c_str()};
-      if (!opts.faultPlan.empty()) {
+          "--seed", seed.c_str(),
+          "--checkpoint-every", checkpointEvery.c_str(),
+          "--iterations", iterations.c_str()};
+      if (plan) {
         args.push_back("--fault-plan");
-        args.push_back(opts.faultPlan.c_str());
+        args.push_back(planText.c_str());
       }
+      if (!opts.stateDir.empty()) {
+        args.push_back("--state-dir");
+        args.push_back(stateDir.c_str());
+      }
+      if (opts.skipParser) args.push_back("--skip-parser");
       args.push_back(nullptr);
       pid_t pid = fork();
       if (pid < 0) {
