@@ -3,9 +3,9 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <exception>
 #include <stdexcept>
 
-#include "expr/printer.h"
 #include "obs/obs.h"
 #include "support/backoff.h"
 
@@ -127,185 +127,144 @@ ApplyResult FaultTolerantController::applyBatch(
     result.deviceCurrent = !degraded_;
     return result;
   }
-  ControllerObs& cobs = ControllerObs::get();
 
   flay::ServiceSnapshot snap = service_->snapshot();
   try {
     result.verdict = service_->applyBatch(updates);
-    // The commit record is durable before the device sees anything, so
-    // recovery replays exactly the acknowledged transactions.
-    if (journal_ != nullptr) {
-      journal_->appendBegin(updates.size());
-      for (const auto& u : updates) journal_->appendUpdate(u);
-      journal_->appendCommit();
-    }
+    commit(updates);
   } catch (...) {
     // Strong exception guarantee: the k-th update failing (or the commit
     // record failing to land) rolls back the k-1 already-applied ones. The
     // batch was never journaled, so it never replays.
     service_->restore(snap);
-    cobs.rollbacks.add(1);
+    ControllerObs::get().rollbacks.add(1);
     throw;
   }
-  committedUpdates_.fetch_add(updates.size(), std::memory_order_relaxed);
-  sinceCheckpoint_ += updates.size();
-  cobs.applied.add(updates.size());
-  // The verdict is ready here; the lag clock runs until this step becomes
-  // device-visible (entries forwarded or a recompiled program installed).
-  support::Stopwatch lag;
-
-  if (device_ != nullptr) {
-    if (!degraded_) {
-      if (result.verdict.needsRecompilation) {
-        if (recompileAndInstall(&result.retries)) {
-          result.deviceCurrent = true;
-          fireEpoch(/*advanced=*/true, /*viaRecompile=*/true,
-                    /*recovery=*/false, lag.elapsedMicros());
-        } else {
-          // Pin the last good program; the device keeps forwarding with it.
-          // snap.config is the device-visible state: everything before this
-          // batch had reached the device.
-          enterDegraded(std::move(snap.config), updates);
-          fireEpoch(false, false, false, 0);
-        }
-      } else {
-        // Semantics-preserving: the entries are representable on the running
-        // program and flow straight through.
-        result.deviceCurrent = true;
-        cobs.forwarded.add(updates.size());
-        deviceVisibleUpdates_.store(committedUpdates(),
-                                    std::memory_order_relaxed);
-        fireEpoch(true, false, false, lag.elapsedMicros());
-      }
-    } else {
-      // Degraded: forward the batch only if it stays semantics-preserving
-      // for the *pinned* program and touches nothing with queued updates
-      // (forwarding around the queue would reorder same-object updates).
-      bool conflictsWithQueue = false;
-      for (const auto& u : updates) {
-        conflictsWithQueue |= queuedTargets_.count(u.target) != 0;
-      }
-      bool forwarded = false;
-      if (!conflictsWithQueue) {
-        flay::ServiceSnapshot dvSnap = deviceView_->snapshot();
-        flay::UpdateVerdict dv = deviceView_->applyBatch(updates);
-        if (dv.needsRecompilation) {
-          deviceView_->restore(dvSnap);  // device cannot represent it
-        } else {
-          forwarded = true;
-          cobs.forwarded.add(updates.size());
-        }
-      }
-      if (!forwarded) queueUpdates(updates);
-      result.deviceCurrent = forwarded;
-      if (forwarded) {
-        deviceVisibleUpdates_.fetch_add(updates.size(),
-                                        std::memory_order_relaxed);
-      }
-      fireEpoch(forwarded, false, false,
-                forwarded ? lag.elapsedMicros() : 0);
-
-      sinceRecoverAttempt_ += updates.size();
-      if (options_.tryRecoverEvery != 0 &&
-          sinceRecoverAttempt_ >= options_.tryRecoverEvery) {
-        sinceRecoverAttempt_ = 0;
-        tryRecover();
-      }
-    }
-  } else {
-    result.deviceCurrent = true;
-    deviceVisibleUpdates_.store(committedUpdates(), std::memory_order_relaxed);
-  }
-
+  // snap.config is the device-visible state: everything before this batch
+  // had reached the device.
+  result.deviceCurrent =
+      deviceStep(updates, result.verdict.needsRecompilation,
+                 std::move(snap.config), &result.retries);
   result.degraded = degraded_;
-  maybeCheckpoint();
-  return result;
-}
-
-BulkApplyResult FaultTolerantController::applyBulk(
-    const flay::UpdateSource& source, flay::BulkLoadOptions options) {
-  ControllerObs& cobs = ControllerObs::get();
-  BulkApplyResult result;
-  // The journal and a possible degradation handoff both need the chunk's
-  // successfully applied updates.
-  bool collectForController = journal_ != nullptr || device_ != nullptr;
-  options.collectApplied |= collectForController;
-  // Device-visible state before the stream: if the recompile at the end
-  // fails, this is what the pinned program still represents.
-  std::unique_ptr<runtime::DeviceConfig> preConfig;
-  if (device_ != nullptr && !degraded_) {
-    preConfig = std::make_unique<runtime::DeviceConfig>(service_->config());
-  }
-  std::vector<runtime::Update> applied;
-
-  result.report = service_->applyStream(
-      source, options, [&](const flay::BulkChunkVerdict& chunk) {
-        // The chunk is already applied in memory when this runs; it commits
-        // as one journal record, so recovery replays exactly the
-        // acknowledged chunks.
-        if (journal_ != nullptr && !chunk.appliedUpdates.empty()) {
-          journal_->appendBegin(chunk.appliedUpdates.size());
-          for (const auto& u : chunk.appliedUpdates) journal_->appendUpdate(u);
-          journal_->appendCommit();
-        }
-        committedUpdates_.fetch_add(chunk.applied, std::memory_order_relaxed);
-        sinceCheckpoint_ += chunk.applied;
-        cobs.applied.add(chunk.applied);
-        if (device_ != nullptr) {
-          applied.insert(applied.end(), chunk.appliedUpdates.begin(),
-                         chunk.appliedUpdates.end());
-        }
-      });
-
-  // Stream verdicts are complete here; lag runs until device visibility.
-  support::Stopwatch lag;
-  if (device_ != nullptr) {
-    if (!degraded_) {
-      if (result.report.needsRecompilation) {
-        if (recompileAndInstall(&result.retries)) {
-          result.deviceCurrent = true;
-          fireEpoch(true, true, false, lag.elapsedMicros());
-        } else {
-          enterDegraded(std::move(*preConfig), applied);
-          fireEpoch(false, false, false, 0);
-        }
-      } else {
-        // Every applied update was verified semantics-preserving: the
-        // entries flow straight to the running program.
-        result.deviceCurrent = true;
-        cobs.forwarded.add(result.report.applied);
-        deviceVisibleUpdates_.store(committedUpdates(),
-                                    std::memory_order_relaxed);
-        fireEpoch(true, false, false, lag.elapsedMicros());
-      }
-    } else {
-      queueUpdates(applied);
-      fireEpoch(false, false, false, 0);
-      sinceRecoverAttempt_ += applied.size();
-      if (options_.tryRecoverEvery != 0 &&
-          sinceRecoverAttempt_ >= options_.tryRecoverEvery) {
-        sinceRecoverAttempt_ = 0;
-        tryRecover();
-      }
-    }
-  } else {
-    result.deviceCurrent = true;
-    deviceVisibleUpdates_.store(committedUpdates(), std::memory_order_relaxed);
-  }
-  result.degraded = degraded_;
-  maybeCheckpoint();
   return result;
 }
 
 BulkApplyResult FaultTolerantController::applyBulk(
     const std::vector<runtime::Update>& updates, flay::BulkLoadOptions options) {
-  size_t next = 0;
-  return applyBulk(
-      [&]() -> std::optional<runtime::Update> {
-        if (next >= updates.size()) return std::nullopt;
-        return updates[next++];
-      },
-      std::move(options));
+  BulkApplyResult result;
+  // Each chunk commits its applied updates, and the device step needs them.
+  options.collectApplied = true;
+  // Rollback point: the state after the last committed chunk.
+  flay::ServiceSnapshot lastCommitted = service_->snapshot();
+  // Device-visible state before the stream: if the recompile at the end
+  // fails, this is what the pinned program still represents.
+  runtime::DeviceConfig before = lastCommitted.config;
+  std::vector<runtime::Update> committed;
+  bool needsRecompilation = false;
+  std::exception_ptr failure;
+  try {
+    result.report = service_->bulkLoad(
+        updates, options, [&](const flay::BulkChunkVerdict& chunk) {
+          // The chunk is applied in memory when this runs; it commits like
+          // a batch, as one journal record.
+          commit(chunk.appliedUpdates);
+          committed.insert(committed.end(), chunk.appliedUpdates.begin(),
+                           chunk.appliedUpdates.end());
+          needsRecompilation |= chunk.verdict.needsRecompilation;
+          lastCommitted = service_->snapshot();
+        });
+  } catch (...) {
+    // The failing chunk never committed: undo it. The chunks before it stay
+    // committed and still reach the device below.
+    service_->restore(lastCommitted);
+    ControllerObs::get().rollbacks.add(1);
+    failure = std::current_exception();
+  }
+  result.deviceCurrent =
+      committed.empty() ? !degraded_
+                        : deviceStep(committed, needsRecompilation,
+                                     std::move(before), &result.retries);
+  if (failure) std::rethrow_exception(failure);
+  result.degraded = degraded_;
+  return result;
+}
+
+void FaultTolerantController::commit(
+    const std::vector<runtime::Update>& updates) {
+  // The commit record is durable before the device sees anything, so
+  // recovery replays exactly the acknowledged transactions.
+  if (journal_ != nullptr && !updates.empty()) {
+    journal_->appendBegin(updates.size());
+    for (const auto& u : updates) journal_->appendUpdate(u);
+    journal_->appendCommit();
+  }
+  committedUpdates_.fetch_add(updates.size(), std::memory_order_relaxed);
+  sinceCheckpoint_ += updates.size();
+  ControllerObs::get().applied.add(updates.size());
+}
+
+bool FaultTolerantController::deviceStep(
+    const std::vector<runtime::Update>& updates, bool needsRecompilation,
+    runtime::DeviceConfig before, size_t* retries) {
+  ControllerObs& cobs = ControllerObs::get();
+  // The verdict is ready here; the lag clock runs until this step becomes
+  // device-visible (entries forwarded or a recompiled program installed).
+  support::Stopwatch lag;
+  bool current = true;
+  if (device_ == nullptr) {
+    deviceVisibleUpdates_.store(committedUpdates(), std::memory_order_relaxed);
+  } else if (!degraded_) {
+    if (!needsRecompilation) {
+      // Semantics-preserving: the entries are representable on the running
+      // program and flow straight through.
+      cobs.forwarded.add(updates.size());
+      deviceVisibleUpdates_.store(committedUpdates(),
+                                  std::memory_order_relaxed);
+      fireEpoch(/*advanced=*/true, /*viaRecompile=*/false,
+                /*recovery=*/false, lag.elapsedMicros());
+    } else if (recompileAndInstall(retries)) {
+      fireEpoch(true, true, false, lag.elapsedMicros());
+    } else {
+      // Pin the last good program; the device keeps forwarding with it.
+      enterDegraded(std::move(before), updates);
+      fireEpoch(false, false, false, 0);
+      current = false;
+    }
+  } else {
+    // Degraded: forward only if the updates stay semantics-preserving for
+    // the *pinned* program and touch nothing with queued updates
+    // (forwarding around the queue would reorder same-object updates).
+    bool conflictsWithQueue = false;
+    for (const auto& u : updates) {
+      conflictsWithQueue |= queuedTargets_.count(u.target) != 0;
+    }
+    current = false;
+    if (!conflictsWithQueue) {
+      flay::ServiceSnapshot dvSnap = deviceView_->snapshot();
+      if (deviceView_->applyBatch(updates).needsRecompilation) {
+        deviceView_->restore(dvSnap);  // device cannot represent it
+      } else {
+        current = true;
+      }
+    }
+    if (current) {
+      cobs.forwarded.add(updates.size());
+      deviceVisibleUpdates_.fetch_add(updates.size(),
+                                      std::memory_order_relaxed);
+    } else {
+      queueUpdates(updates);
+    }
+    fireEpoch(current, false, false, current ? lag.elapsedMicros() : 0);
+
+    sinceRecoverAttempt_ += updates.size();
+    if (options_.tryRecoverEvery != 0 &&
+        sinceRecoverAttempt_ >= options_.tryRecoverEvery) {
+      sinceRecoverAttempt_ = 0;
+      tryRecover();
+    }
+  }
+  maybeCheckpoint();
+  return current;
 }
 
 bool FaultTolerantController::recompileAndInstall(size_t* retries) {

@@ -26,10 +26,11 @@ struct ControllerOptions {
   /// Install/compile attempts beyond the first before giving up and
   /// degrading.
   uint32_t maxInstallRetries = 4;
-  /// Exponential backoff between attempts (support::backoffMicros:
-  /// min(base << (n-1), max) plus jitter in [0, base)). Recorded in
-  /// controller.backoff_us, never slept: the simulated device has nothing
-  /// to wait for, and the schedule stays observable without wall-clock.
+  /// Exponential backoff between attempts (support::backoffMicros: base
+  /// doubled n-1 times, saturating at max, plus jitter in [0, base)).
+  /// Recorded in controller.backoff_us, never slept: the simulated device
+  /// has nothing to wait for, and the schedule stays observable without
+  /// wall-clock.
   uint64_t backoffBaseMicros = 200;
   uint64_t backoffMaxMicros = 50000;
   /// While degraded, a recovery (re-specialize + compile + install) is
@@ -122,17 +123,15 @@ class FaultTolerantController {
   ApplyResult apply(const runtime::Update& update);
   ApplyResult applyBatch(const std::vector<runtime::Update>& updates);
 
-  /// Streams a bulk load through the service's chunked path
-  /// (FlayService::applyStream), journaling each chunk as one commit
-  /// record and reconciling the device once at the end of the
-  /// stream: a single recompile+install if any chunk's verdict demands it,
-  /// plain forwarding otherwise. While degraded, the stream is applied to
-  /// the authoritative state and queued for the device until recovery.
-  /// Unlike applyBatch there is no whole-stream rollback — rejected updates
-  /// are skipped (and counted) exactly as a sequential replay would.
-  BulkApplyResult applyBulk(const flay::UpdateSource& source,
-                            flay::BulkLoadOptions options = {});
-  /// Convenience wrapper for an in-memory batch.
+  /// Applies `updates` through the service's chunked path
+  /// (FlayService::bulkLoad). Each chunk is a transaction that commits like
+  /// a batch, as one journal record; a chunk that fails (its commit record
+  /// included) is rolled back and the error rethrown, while the chunks
+  /// before it stay committed. The committed updates then take the same
+  /// device step as applyBatch: one recompile+install if any chunk's verdict
+  /// demands it, forwarding otherwise, and while degraded, forwarding to the
+  /// pinned program or queueing. Unlike applyBatch, updates the engine
+  /// rejects are skipped (and counted) exactly as a sequential replay would.
   BulkApplyResult applyBulk(const std::vector<runtime::Update>& updates,
                             flay::BulkLoadOptions options = {});
 
@@ -192,6 +191,20 @@ class FaultTolerantController {
 
  private:
   void recoverFromJournal();
+  /// Journals `updates` as one commit record (none when empty) and counts
+  /// them committed. Throws if the record fails to land.
+  void commit(const std::vector<runtime::Update>& updates);
+  /// The device step after a commit, shared by applyBatch and applyBulk.
+  /// Healthy: forward `updates` to the running program, or recompile and
+  /// install, degrading to `before` (the device-visible config before
+  /// `updates`) if that fails. Degraded: forward through deviceView_ if
+  /// `updates` stay semantics-preserving for the pinned program and touch
+  /// no queued target, else queue them, and attempt a recovery every
+  /// tryRecoverEvery updates. Fires the epoch event and may checkpoint.
+  /// Returns whether the device kept up; adds install retries to *retries.
+  bool deviceStep(const std::vector<runtime::Update>& updates,
+                  bool needsRecompilation, runtime::DeviceConfig before,
+                  size_t* retries);
   /// Specialize + compile + install with retry/backoff. Updates pinned_ on
   /// success. Returns success; fills *retries.
   bool recompileAndInstall(size_t* retries);

@@ -34,12 +34,6 @@ struct FaultPlan {
   /// Seed for the probabilistic faults above.
   uint64_t seed = 1;
 
-  bool hasFaults() const {
-    return rejectFirstCompiles != 0 || compileRejectProbability > 0.0 ||
-           failFirstInstalls != 0 || installFailProbability > 0.0 ||
-           outageLength != 0;
-  }
-
   /// Parses a comma-separated spec, e.g.
   ///   "reject-first=1,fail-first=2,flaky=0.3,outage=4+6,slow=500,seed=7"
   /// Unknown keys or malformed values throw std::invalid_argument.

@@ -38,7 +38,6 @@ class Journal {
   /// line so the next record starts a line of its own.
   void open();
   void close();
-  bool isOpen() const { return file_ != nullptr; }
 
   /// Starts a transaction in memory, discarding anything staged and not
   /// committed. `n` is unused: the commit record lists the updates itself.

@@ -81,7 +81,6 @@ class ExprArena {
   /// Interns a symbol by name; width/class must agree on reuse.
   uint32_t symbol(std::string_view name, uint32_t width, SymbolClass cls);
   const Symbol& symbolInfo(uint32_t symbolId) const { return symbols_[symbolId]; }
-  size_t numSymbols() const { return symbols_.size(); }
 
   // --- Leaves ------------------------------------------------------------
   ExprRef bvConst(const BitVec& value);

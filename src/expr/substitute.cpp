@@ -30,11 +30,6 @@ void Substitution::bindConst(std::string_view name, bool value,
   bind(arena_.boolVar(name, cls), arena_.boolConst(value));
 }
 
-void Substitution::clearBindings() {
-  bindings_.clear();
-  memo_.clear();
-}
-
 ExprRef Substitution::apply(ExprRef root) {
   if (!root.valid()) return root;
   // Iterative post-order rewrite; recursion depth is unbounded for large

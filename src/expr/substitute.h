@@ -28,9 +28,6 @@ class Substitution {
   /// Returns `root` with all bound variables replaced, fully re-folded.
   ExprRef apply(ExprRef root);
 
-  void clearBindings();
-  size_t numBindings() const { return bindings_.size(); }
-
  private:
   ExprArena& arena_;
   std::unordered_map<uint32_t, ExprRef> bindings_;  // node id -> replacement

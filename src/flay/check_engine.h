@@ -20,11 +20,16 @@ enum class TriVerdict { kTrue, kFalse, kUnknown };
 struct CheckEngineOptions {
   /// Worker threads for prefetch(): jobs-1 pool workers plus the calling
   /// thread probe concurrently. 1 = fully serial (no pool is created).
+  /// Verdicts are deterministic regardless.
   size_t jobs = 1;
   /// Ask the solver only about expressions up to this DAG size (0 disables
-  /// solver queries entirely, like SpecializerOptions::solverDagLimit).
+  /// solver queries entirely).
   size_t solverDagLimit = 512;
   /// Fail-safe deadline per underlying SAT call, in conflicts (0 = none).
+  /// An expired query yields "unknown", which the specializer maps to its
+  /// conservative verdict: the point keeps the general implementation, so a
+  /// solver blowup can degrade specialization quality but never correctness
+  /// or liveness of the update pipeline.
   uint64_t solverConflictBudget = 20000;
 };
 

@@ -71,12 +71,8 @@ void substituteParamsInStmts(
 class Specializer::Impl {
  public:
   Impl(FlayService& service, const SpecializerOptions& options)
-      : service_(service), options_(options), engine_(service.checkEngine()) {
-    CheckEngineOptions eopts;
-    eopts.jobs = options_.jobs;
-    eopts.solverDagLimit = options_.solverDagLimit;
-    eopts.solverConflictBudget = options_.solverConflictBudget;
-    engine_.configure(eopts);
+      : service_(service), engine_(service.checkEngine()) {
+    engine_.configure(options);
   }
 
   SpecializationResult specialize() {
@@ -460,7 +456,6 @@ class Specializer::Impl {
   }
 
   FlayService& service_;
-  SpecializerOptions options_;
   CheckEngine& engine_;
   SpecializationStats stats_;
   std::unordered_map<const void*, uint32_t> pointByNode_;

@@ -36,22 +36,8 @@ struct SpecializationStats {
   }
 };
 
-struct SpecializerOptions {
-  /// Ask the SMT solver about conditions/values the rewriting constructors
-  /// could not fold, up to this DAG size (0 disables solver queries).
-  size_t solverDagLimit = 512;
-  /// Fail-safe deadline per solver query, in SAT conflicts (0 = unlimited).
-  /// An expired query yields "unknown", which the specializer maps to its
-  /// conservative verdict: the point keeps the general implementation, so a
-  /// solver blowup can degrade specialization quality but never correctness
-  /// or liveness of the update pipeline.
-  uint64_t solverConflictBudget = 20000;
-  /// Threads for the semantics-check prefetch: the independent constantness
-  /// probes of one specialization run execute concurrently across this many
-  /// threads (1 = serial). Verdicts are deterministic regardless (see
-  /// CheckEngine).
-  size_t jobs = 1;
-};
+/// The specializer's knobs are those of the check engine it asks.
+using SpecializerOptions = CheckEngineOptions;
 
 struct SpecializationResult {
   p4::Program program;

@@ -1,24 +1,18 @@
 #include "fleet/agent.h"
 
 #include <errno.h>
-#include <poll.h>
 #include <sys/socket.h>
-#include <unistd.h>
+#include <sys/time.h>
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
 
 #include "expr/canonical.h"
 #include "p4/printer.h"
 #include "runtime/device_config.h"
 
 namespace flay::fleet {
-
-namespace {
-
-std::string errnoString() { return std::strerror(errno); }
-
-}  // namespace
 
 std::string programFingerprint(const p4::CheckedProgram& checked) {
   expr::Fnv h;
@@ -166,252 +160,108 @@ bool AgentEndpoint::serve() {
 // AgentLink
 // ---------------------------------------------------------------------------
 
-AgentLink::AgentLink(wire::Fd fd, std::string label, size_t batchSize,
-                     size_t windowBatches)
-    : fd_(std::move(fd)),
-      label_(std::move(label)),
-      batchSize_(batchSize == 0 ? 1 : batchSize),
-      windowBatches_(windowBatches == 0 ? 1 : windowBatches) {
-  wire::setNonBlocking(fd_.get(), true);
+namespace {
+
+/// Waits longer than this on the agent fail the link.
+constexpr int kTimeoutMs = 120000;
+constexpr int kByeTimeoutMs = 5000;
+
+/// Bounds every blocking read and write on `fd`: a call that waits longer
+/// fails, and FrameChannel turns the failure into a WireError.
+void setTimeouts(int fd, int millis) {
+  timeval tv{};
+  tv.tv_sec = millis / 1000;
+  tv.tv_usec = (millis % 1000) * 1000;
+  if (::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv) != 0 ||
+      ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof tv) != 0) {
+    throw wire::WireError(std::string("setsockopt failed: ") +
+                          std::strerror(errno));
+  }
 }
 
-AgentLink::~AgentLink() = default;
+}  // namespace
 
-void AgentLink::die(const std::string& why) {
-  dead_ = true;
-  if (deathReason_.empty()) deathReason_ = why;
-  fd_.reset();
-  throw wire::WireError(label_ + ": " + why);
+AgentLink::AgentLink(wire::Fd fd, std::string label)
+    : channel_(std::move(fd)), label_(std::move(label)) {
+  setTimeouts(channel_.fd(), kTimeoutMs);
+}
+
+template <typename Body>
+auto AgentLink::guarded(Body body) -> decltype(body()) {
+  if (!alive()) throw wire::WireError(label_ + ": link is dead");
+  try {
+    return body();
+  } catch (const wire::WireError& e) {
+    channel_.close();
+    throw wire::WireError(label_ + ": " + e.what());
+  }
+}
+
+wire::Frame AgentLink::recv(wire::FrameType expect) {
+  wire::Frame f;
+  if (!channel_.recv(&f)) throw wire::WireError("agent closed the connection");
+  if (f.type == wire::FrameType::kError) {
+    wire::ErrorMsg e = wire::decodeErrorMsg(f.payload);
+    throw wire::WireError("agent error " + std::to_string(e.code) + ": " +
+                          e.detail);
+  }
+  if (f.type != expect) {
+    throw wire::WireError("expected frame type " +
+                          std::to_string(static_cast<int>(expect)) + ", got " +
+                          std::to_string(static_cast<int>(f.type)));
+  }
+  return f;
 }
 
 void AgentLink::enqueue(std::string updateText) {
   pending_.push_back(std::move(updateText));
-  ++seq_;
-}
-
-void AgentLink::consume(const wire::Frame& f) {
-  try {
-    switch (f.type) {
-      case wire::FrameType::kAck: {
-        wire::Ack ack = wire::decodeAck(f.payload);
-        if (ack.upToSeq <= ackedSeq_ || ack.upToSeq > seq_) {
-          die("ack out of order (upToSeq " + std::to_string(ack.upToSeq) +
-              ", acked " + std::to_string(ackedSeq_) + ", sent " +
-              std::to_string(seq_) + ")");
-        }
-        ackedSeq_ = ack.upToSeq;
-        lastAck_ = ack;
-        sawAck_ = true;
-        if (inFlight_ > 0) --inFlight_;
-        break;
-      }
-      case wire::FrameType::kError: {
-        wire::ErrorMsg e = wire::decodeErrorMsg(f.payload);
-        die("agent error " + std::to_string(e.code) + ": " + e.detail);
-        break;
-      }
-      default:
-        die("unexpected frame type " +
-            std::to_string(static_cast<int>(f.type)) + " during flush");
-    }
-  } catch (const wire::WireError&) {
-    if (!dead_) die("undecodable reply frame");
-    throw;
-  }
-}
-
-void AgentLink::pumpRead(FlushDelta* delta) {
-  uint8_t chunk[16384];
-  for (;;) {
-    ssize_t n = ::read(fd_.get(), chunk, sizeof chunk);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      die("read failed: " + errnoString());
-    }
-    if (n == 0) die("agent closed the connection");
-    if (delta != nullptr) delta->bytesIn += static_cast<uint64_t>(n);
-    decoder_.feed(chunk, static_cast<size_t>(n));
-    if (static_cast<size_t>(n) < sizeof chunk) break;
-  }
-  wire::Frame f;
-  for (;;) {
-    auto st = decoder_.next(&f);
-    if (st == wire::FrameDecoder::Status::kError) {
-      die("bad frame from agent: " + decoder_.error());
-    }
-    if (st == wire::FrameDecoder::Status::kNeedMore) break;
-    consume(f);
-  }
 }
 
 AgentLink::FlushDelta AgentLink::flush() {
-  FlushDelta delta;
-  if (!alive()) {
-    throw wire::WireError(label_ + ": link is dead (" + deathReason_ + ")");
-  }
-  if (pending_.empty()) return delta;
-
-  wire::Ack before = lastAck_;
-  uint64_t firstPendingSeq = seq_ - pending_.size() + 1;
-  uint64_t target = seq_;
-  size_t encodeIdx = 0;
-  uint64_t nextSeq = firstPendingSeq;
-  std::vector<uint8_t> out;
-  size_t outOff = 0;
-
-  while (ackedSeq_ < target) {
-    // Encode the next batch lazily, only when the previous one fully left
-    // the send buffer and the in-flight window has room.
-    if (outOff == out.size() && encodeIdx < pending_.size() &&
-        inFlight_ < windowBatches_) {
-      size_t n = std::min(batchSize_, pending_.size() - encodeIdx);
+  return guarded([&] {
+    FlushDelta delta;
+    const wire::Ack before = lastAck_;
+    for (auto next = pending_.begin(); next != pending_.end();) {
+      auto end = next + std::min<ptrdiff_t>(kBatchSize, pending_.end() - next);
       wire::Batch b;
-      b.firstSeq = nextSeq;
-      b.updates.assign(pending_.begin() + static_cast<ptrdiff_t>(encodeIdx),
-                       pending_.begin() +
-                           static_cast<ptrdiff_t>(encodeIdx + n));
-      out = wire::encodeFrame(wire::FrameType::kBatch, wire::encode(b));
-      outOff = 0;
-      encodeIdx += n;
-      nextSeq += n;
-      ++inFlight_;
+      b.firstSeq = seq_ + 1;
+      b.updates.assign(std::make_move_iterator(next),
+                       std::make_move_iterator(end));
+      channel_.send(wire::FrameType::kBatch, wire::encode(b));
       ++delta.batches;
-    }
-
-    bool wantWrite = outOff < out.size();
-    struct pollfd p;
-    p.fd = fd_.get();
-    p.events = static_cast<short>(POLLIN | (wantWrite ? POLLOUT : 0));
-    p.revents = 0;
-    int rc = ::poll(&p, 1, timeoutMs_);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      die("poll failed: " + errnoString());
-    }
-    if (rc == 0) die("flush timed out waiting for acks");
-    if (p.revents & (POLLIN | POLLERR | POLLHUP)) {
-      // Drain acks even while writes are still streaming: this is what
-      // keeps a full socket buffer from deadlocking both ends.
-      pumpRead(&delta);
-    }
-    if (wantWrite && (p.revents & POLLOUT)) {
-      ssize_t w = ::send(fd_.get(), out.data() + outOff, out.size() - outOff,
-                         MSG_NOSIGNAL);
-      if (w < 0) {
-        if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
-          die("send failed: " + errnoString());
-        }
-      } else {
-        outOff += static_cast<size_t>(w);
-        delta.bytesOut += static_cast<uint64_t>(w);
+      wire::Ack ack = wire::decodeAck(recv(wire::FrameType::kAck).payload);
+      seq_ += b.updates.size();
+      if (ack.upToSeq != seq_) {
+        throw wire::WireError("ack out of order (upToSeq " +
+                              std::to_string(ack.upToSeq) + ", expected " +
+                              std::to_string(seq_) + ")");
       }
+      lastAck_ = ack;
+      next = end;
     }
-  }
-
-  pending_.clear();
-  delta.applied = lastAck_.applied - before.applied;
-  delta.rejected = lastAck_.rejected - before.rejected;
-  delta.retries = lastAck_.retries - before.retries;
-  delta.degraded = lastAck_.degraded;
-  delta.committed = lastAck_.committed;
-  delta.deviceVisible = lastAck_.deviceVisible;
-  return delta;
-}
-
-wire::Frame AgentLink::waitFrame(wire::FrameType expect, int timeoutMs) {
-  wire::Frame f;
-  for (;;) {
-    auto st = decoder_.next(&f);
-    if (st == wire::FrameDecoder::Status::kError) {
-      die("bad frame from agent: " + decoder_.error());
-    }
-    if (st == wire::FrameDecoder::Status::kFrame) {
-      if (f.type == wire::FrameType::kError) {
-        try {
-          wire::ErrorMsg e = wire::decodeErrorMsg(f.payload);
-          die("agent error " + std::to_string(e.code) + ": " + e.detail);
-        } catch (const wire::WireError&) {
-          if (!dead_) die("undecodable error frame");
-          throw;
-        }
-      }
-      if (f.type == wire::FrameType::kAck) {
-        // A stale ack from an earlier pipeline can legally arrive before a
-        // reply; fold it in and keep waiting.
-        consume(f);
-        continue;
-      }
-      if (f.type != expect) {
-        die("expected frame type " +
-            std::to_string(static_cast<int>(expect)) + ", got " +
-            std::to_string(static_cast<int>(f.type)));
-      }
-      return f;
-    }
-    struct pollfd p;
-    p.fd = fd_.get();
-    p.events = POLLIN;
-    p.revents = 0;
-    int rc = ::poll(&p, 1, timeoutMs);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      die("poll failed: " + errnoString());
-    }
-    if (rc == 0) die("timed out waiting for reply");
-    uint8_t chunk[16384];
-    ssize_t n = ::read(fd_.get(), chunk, sizeof chunk);
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-      die("read failed: " + errnoString());
-    }
-    if (n == 0) die("agent closed the connection");
-    decoder_.feed(chunk, static_cast<size_t>(n));
-  }
-}
-
-void AgentLink::writeAllBlocking(const std::vector<uint8_t>& bytes) {
-  size_t off = 0;
-  while (off < bytes.size()) {
-    ssize_t w = ::send(fd_.get(), bytes.data() + off, bytes.size() - off,
-                       MSG_NOSIGNAL);
-    if (w >= 0) {
-      off += static_cast<size_t>(w);
-      continue;
-    }
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      struct pollfd p;
-      p.fd = fd_.get();
-      p.events = POLLOUT;
-      p.revents = 0;
-      int rc = ::poll(&p, 1, timeoutMs_);
-      if (rc < 0 && errno != EINTR) die("poll failed: " + errnoString());
-      if (rc == 0) die("timed out writing to agent");
-      continue;
-    }
-    die("send failed: " + errnoString());
-  }
+    pending_.clear();
+    delta.applied = lastAck_.applied - before.applied;
+    delta.rejected = lastAck_.rejected - before.rejected;
+    delta.retries = lastAck_.retries - before.retries;
+    delta.degraded = lastAck_.degraded;
+    delta.committed = lastAck_.committed;
+    delta.deviceVisible = lastAck_.deviceVisible;
+    return delta;
+  });
 }
 
 wire::Hello AgentLink::handshake() {
-  if (!alive()) {
-    throw wire::WireError(label_ + ": link is dead (" + deathReason_ + ")");
-  }
-  wire::Frame f = waitFrame(wire::FrameType::kHello, timeoutMs_);
-  try {
-    return wire::decodeHello(f.payload);
-  } catch (const wire::WireError&) {
-    if (!dead_) die("undecodable hello frame");
-    throw;
-  }
+  return guarded([&] {
+    return wire::decodeHello(recv(wire::FrameType::kHello).payload);
+  });
 }
 
 void AgentLink::accept() {
-  wire::HelloAck ack;
-  ack.accepted = true;
-  writeAllBlocking(wire::encodeFrame(wire::FrameType::kHelloAck,
-                                     wire::encode(ack)));
+  guarded([&] {
+    wire::HelloAck ack;
+    ack.accepted = true;
+    channel_.send(wire::FrameType::kHelloAck, wire::encode(ack));
+  });
 }
 
 void AgentLink::reject(const std::string& why) {
@@ -419,42 +269,31 @@ void AgentLink::reject(const std::string& why) {
   ack.accepted = false;
   ack.detail = why;
   try {
-    writeAllBlocking(wire::encodeFrame(wire::FrameType::kHelloAck,
-                                       wire::encode(ack)));
+    channel_.send(wire::FrameType::kHelloAck, wire::encode(ack));
   } catch (const wire::WireError&) {
     // Best-effort: the rejection itself closes the link either way.
   }
-  dead_ = true;
-  if (deathReason_.empty()) deathReason_ = "rejected: " + why;
-  fd_.reset();
+  channel_.close();
 }
 
 wire::DigestReply AgentLink::digest() {
-  if (!alive()) {
-    throw wire::WireError(label_ + ": link is dead (" + deathReason_ + ")");
-  }
-  writeAllBlocking(wire::encodeFrame(wire::FrameType::kDigestRequest, {}));
-  wire::Frame f = waitFrame(wire::FrameType::kDigestReply, timeoutMs_);
-  try {
-    return wire::decodeDigestReply(f.payload);
-  } catch (const wire::WireError&) {
-    if (!dead_) die("undecodable digest reply");
-    throw;
-  }
+  return guarded([&] {
+    channel_.send(wire::FrameType::kDigestRequest, {});
+    return wire::decodeDigestReply(
+        recv(wire::FrameType::kDigestReply).payload);
+  });
 }
 
 void AgentLink::bye() {
-  if (!alive()) {
-    fd_.reset();
-    return;
-  }
+  if (!alive()) return;
   try {
-    writeAllBlocking(wire::encodeFrame(wire::FrameType::kBye, {}));
-    waitFrame(wire::FrameType::kByeAck, 5000);
+    setTimeouts(channel_.fd(), kByeTimeoutMs);
+    channel_.send(wire::FrameType::kBye, {});
+    recv(wire::FrameType::kByeAck);
   } catch (const wire::WireError&) {
     // Best-effort shutdown: a dead agent cannot ack a goodbye.
   }
-  fd_.reset();
+  channel_.close();
 }
 
 }  // namespace flay::fleet

@@ -1,24 +1,25 @@
 #ifndef FLAY_FLEET_AGENT_H
 #define FLAY_FLEET_AGENT_H
 
-// The two halves of a controller-daemon <-> device-agent link.
+// The two halves of a controller-daemon <-> device-agent link, each a
+// wire::FrameChannel over one Unix-domain socket.
 //
 // AgentEndpoint is the agent side: it owns the serve loop over one framed
 // connection, decoding update batches back into runtime::Update (the same
 // schema-directed fromString the journal uses) and driving one
 // FaultTolerantController. It is the body of a `flayc agent` process
-// connected to `flayc daemon` over a Unix-domain socket; tests run it on a
-// thread at the far end of a socketpair.
+// connected to `flayc daemon`; tests run it on a thread at the far end of a
+// socketpair.
 //
-// AgentLink is the daemon side: a nonblocking descriptor with pipelined
-// batch writes and batched acks — up to windowBatches batch frames are in
-// flight before the first ack is required, and acks are drained while
-// writes are still streaming, so neither side can deadlock on a full
-// socket buffer and the link's throughput is bounded by the agent's apply
-// rate, not by round trips.
+// AgentLink is the daemon side. It is stop-and-wait: it sends one batch
+// frame, waits for that batch's ack, and only then sends the next, so at
+// most one frame is unread at either end and neither side can block on a
+// full socket buffer. Every wait is bounded by receive and send timeouts on
+// the descriptor: a hung agent becomes a WireError, never a hang. A round
+// trip on a Unix socket costs microseconds, an agent's apply of a batch
+// milliseconds, so a window of batches in flight would buy little.
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
@@ -74,15 +75,15 @@ class AgentEndpoint {
   std::string lastError_;
 };
 
-/// Daemon side of one link: pipelined, windowed batch writes over a
-/// nonblocking descriptor. Every method that touches the wire throws
-/// WireError if the link is (or becomes) dead; after a throw the link stays
-/// dead.
+/// Daemon side of one link: stop-and-wait batches over a FrameChannel.
+/// Every method that touches the wire throws WireError if the link is (or
+/// becomes) dead; after a throw the link stays dead.
 class AgentLink {
  public:
-  AgentLink(wire::Fd fd, std::string label, size_t batchSize = 32,
-            size_t windowBatches = 8);
-  ~AgentLink();
+  /// Updates per batch frame.
+  static constexpr size_t kBatchSize = 32;
+
+  AgentLink(wire::Fd fd, std::string label);
 
   AgentLink(const AgentLink&) = delete;
   AgentLink& operator=(const AgentLink&) = delete;
@@ -104,12 +105,10 @@ class AgentLink {
     uint64_t committed = 0;
     uint64_t deviceVisible = 0;
     uint64_t batches = 0;
-    uint64_t bytesOut = 0;
-    uint64_t bytesIn = 0;
   };
 
-  /// Writes every pending update as pipelined batch frames and returns once
-  /// the agent has acknowledged all of them.
+  /// Sends every pending update in batch frames of up to kBatchSize, each
+  /// acknowledged before the next is sent, and returns once the last one is.
   FlushDelta flush();
 
   wire::DigestReply digest();
@@ -117,32 +116,23 @@ class AgentLink {
   /// Best-effort clean shutdown (kBye / kByeAck); always closes.
   void bye();
 
-  bool alive() const { return fd_.valid() && !dead_; }
+  bool alive() const { return channel_.open(); }
   const std::string& label() const { return label_; }
-  const std::string& deathReason() const { return deathReason_; }
 
  private:
-  [[noreturn]] void die(const std::string& why);
-  void pumpRead(FlushDelta* delta);
-  /// Processes one inbound frame during flush (acks advance the window).
-  void consume(const wire::Frame& f);
-  wire::Frame waitFrame(wire::FrameType expect, int timeoutMs);
-  void writeAllBlocking(const std::vector<uint8_t>& bytes);
+  /// Runs `body` on a live link; a WireError out of it closes the link and
+  /// is rethrown with the link's label.
+  template <typename Body>
+  auto guarded(Body body) -> decltype(body());
+  /// The next frame, which must be of type `expect`. EOF, a kError frame
+  /// or any other type throws WireError.
+  wire::Frame recv(wire::FrameType expect);
 
-  wire::Fd fd_;
+  wire::FrameChannel channel_;
   std::string label_;
-  size_t batchSize_;
-  size_t windowBatches_;
-  wire::FrameDecoder decoder_;
-  std::deque<std::string> pending_;
-  size_t inFlight_ = 0;    // batches written but not yet acknowledged
-  uint64_t seq_ = 0;       // seq of the last update handed to flush()'s wire
-  uint64_t ackedSeq_ = 0;  // seq of the last update the agent acknowledged
-  wire::Ack lastAck_;      // cumulative counters from the latest ack
-  bool sawAck_ = false;
-  bool dead_ = false;
-  std::string deathReason_;
-  int timeoutMs_ = 120000;
+  std::vector<std::string> pending_;
+  uint64_t seq_ = 0;  // seq of the last update the agent acknowledged
+  wire::Ack lastAck_;  // cumulative counters from the latest ack
 };
 
 }  // namespace flay::fleet

@@ -178,53 +178,6 @@ size_t FleetController::broadcast(const runtime::Update& update) {
   return accepted;
 }
 
-FleetController::BulkBroadcastResult FleetController::broadcastBulk(
-    const std::vector<runtime::Update>& updates,
-    flay::BulkLoadOptions options) {
-  FleetObs& fobs = FleetObs::get();
-  std::mutex rmu;
-  BulkBroadcastResult result;
-  std::vector<std::function<void()>> tasks;
-  for (auto& mp : members_) {
-    Member& m = *mp;
-    if (m.failed.load(std::memory_order_relaxed) || m.ctl == nullptr) {
-      continue;
-    }
-    tasks.push_back([&] {
-      try {
-        controller::BulkApplyResult r = m.ctl->applyBulk(updates, options);
-        uint64_t applied = r.report.applied;
-        uint64_t rejected = r.report.rejected;
-        m.applied.fetch_add(applied, std::memory_order_relaxed);
-        m.retries.fetch_add(r.retries, std::memory_order_relaxed);
-        m.rejected.fetch_add(rejected, std::memory_order_relaxed);
-        m.degraded.store(r.degraded, std::memory_order_relaxed);
-        m.appliedCounter->add(applied);
-        m.rejectedCounter->add(rejected);
-        fobs.applied.add(applied);
-        fobs.rejected.add(rejected);
-        std::lock_guard<std::mutex> lock(rmu);
-        ++result.devices;
-        result.applied += applied;
-        result.rejected += rejected;
-      } catch (const std::exception&) {
-        // Same quarantine contract as drainMember: the device's state is
-        // unknown, so it stops taking work; the rest of the fleet finishes.
-        m.failed.store(true, std::memory_order_relaxed);
-        fobs.deviceFailures.add(1);
-      }
-    });
-  }
-  if (pool_ != nullptr) {
-    pool_->run(std::move(tasks));
-  } else {
-    for (auto& t : tasks) t();
-  }
-  fobs.degradedGauge.reset();
-  fobs.degradedGauge.add(degradedDevices());
-  return result;
-}
-
 void FleetController::drainMember(Member& m) {
   FleetObs& fobs = FleetObs::get();
   for (;;) {

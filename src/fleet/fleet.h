@@ -23,7 +23,8 @@ namespace flay::fleet {
 /// which members are actually due.
 struct RecoveryPolicy {
   /// Backoff after the n-th consecutive failure: support::backoffMicros,
-  /// i.e. min(base << (n-1), max) plus jitter in [0, base).
+  /// i.e. base doubled n-1 times, saturating at max, plus jitter in
+  /// [0, base).
   uint64_t backoffBaseMicros = 500;
   uint64_t backoffMaxMicros = 200000;
   /// Consecutive failed attempts before the fleet stops re-admitting a
@@ -121,23 +122,6 @@ class FleetController {
   bool enqueue(size_t device, const runtime::Update& update);
   /// Enqueues the update on every device; returns how many accepted it.
   size_t broadcast(const runtime::Update& update);
-
-  /// Outcome of a fleet-wide bulk broadcast, summed over the devices that
-  /// completed the stream.
-  struct BulkBroadcastResult {
-    size_t devices = 0;  ///< devices that completed the stream
-    uint64_t applied = 0;
-    uint64_t rejected = 0;
-  };
-
-  /// Streams one bulk load (controller::applyBulk, i.e. the chunked
-  /// FlayService::applyStream path) to every live device, concurrently over the
-  /// shared pool. Devices receive identical streams, so equal fleet digests
-  /// before imply equal fleet digests after. Bypasses the per-update queues:
-  /// do not interleave with a concurrent drain(). A device whose stream
-  /// throws is quarantined like in drain(); the rest complete.
-  BulkBroadcastResult broadcastBulk(const std::vector<runtime::Update>& updates,
-                                    flay::BulkLoadOptions options = {});
 
   /// Processes every queue to empty. Devices drain concurrently over the
   /// shared pool (jobs-way); within a device, updates apply strictly in

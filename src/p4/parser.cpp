@@ -77,21 +77,6 @@ void Parser::expectCloseAngle() {
               "expected '>', found '" + peek().text + "'");
 }
 
-void Parser::synchronizeToBraceEnd() {
-  int depth = 0;
-  while (!check(TokenKind::kEof)) {
-    if (check(TokenKind::kLBrace)) ++depth;
-    if (check(TokenKind::kRBrace)) {
-      if (depth == 0) {
-        advance();
-        return;
-      }
-      --depth;
-    }
-    advance();
-  }
-}
-
 Parser::ParsedType Parser::parseType() {
   ParsedType t;
   if (matchIdent("bit")) {

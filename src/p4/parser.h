@@ -31,7 +31,6 @@ class Parser {
   void expectCloseAngle();
   std::string expectIdent(const char* what);
   uint32_t expectInt(const char* what);
-  void synchronizeToBraceEnd();
 
   // Types.
   struct ParsedType {

@@ -67,12 +67,6 @@ Lit BitBlaster::mkAndReduce(const std::vector<Lit>& lits) {
   return acc;
 }
 
-Lit BitBlaster::mkOrReduce(const std::vector<Lit>& lits) {
-  Lit acc = constLit(false);
-  for (Lit l : lits) acc = mkOr(acc, l);
-  return acc;
-}
-
 std::vector<Lit> BitBlaster::addBits(const std::vector<Lit>& a,
                                      const std::vector<Lit>& b, Lit carryIn) {
   assert(a.size() == b.size());

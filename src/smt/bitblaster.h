@@ -61,8 +61,6 @@ class BitBlaster {
   /// purgeGroup alongside the node memos.
   sat::Lit eqConst(expr::ExprRef e, const BitVec& value);
 
-  sat::Lit trueLit() const { return trueLit_; }
-
   // -- Incremental-session support ------------------------------------------
 
   /// Turns on per-node range/dependency tracking. Must be called before the
@@ -116,8 +114,6 @@ class BitBlaster {
                        : std::span<const uint8_t>();
   }
 
-  size_t numTrackedNodes() const { return nodeInfo_.size(); }
-
  private:
   struct NodeInfo {
     uint32_t varBegin = 0;  // [varBegin, varEnd): vars allocated while this
@@ -135,7 +131,6 @@ class BitBlaster {
   /// c = s ? a : b
   sat::Lit mkMux(sat::Lit s, sat::Lit a, sat::Lit b);
   sat::Lit mkAndReduce(const std::vector<sat::Lit>& lits);
-  sat::Lit mkOrReduce(const std::vector<sat::Lit>& lits);
 
   std::vector<sat::Lit> addBits(const std::vector<sat::Lit>& a,
                                 const std::vector<sat::Lit>& b,

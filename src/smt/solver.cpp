@@ -52,11 +52,6 @@ BitVec SmtSolver::modelValue(ExprRef var) {
   return blaster_->bvModelValue(var);
 }
 
-bool SmtSolver::modelValueBool(ExprRef var) {
-  blaster_->blastBool(var);
-  return blaster_->boolModelValue(var);
-}
-
 uint64_t SmtSolver::numConflicts() const { return sat_->numConflicts(); }
 
 bool isSatisfiable(const expr::ExprArena& arena, ExprRef boolExpr) {

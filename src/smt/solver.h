@@ -37,7 +37,6 @@ class SmtSolver {
   /// Model value of a bit-vector variable after a kSat check. Variables that
   /// never appeared in an assertion get value zero.
   BitVec modelValue(expr::ExprRef var);
-  bool modelValueBool(expr::ExprRef var);
 
   uint64_t numConflicts() const;
 

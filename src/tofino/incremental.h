@@ -30,8 +30,6 @@ class IncrementalPipelineCompiler {
   CompileResult incrementalCompile(const p4::CheckedProgram& checked,
                                    const std::set<std::string>& changed);
 
-  /// True once a baseline exists.
-  bool hasBaseline() const { return !baseline_.empty(); }
   /// Units re-placed by the last incrementalCompile call.
   size_t lastReplacedUnits() const { return lastReplaced_; }
   bool lastFellBackToFull() const { return lastFullFallback_; }

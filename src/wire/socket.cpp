@@ -1,7 +1,6 @@
 #include "wire/socket.h"
 
 #include <errno.h>
-#include <fcntl.h>
 #include <string.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -79,13 +78,6 @@ Fd connectUnix(const std::string& path, int retries, int retryDelayMs) {
   }
 }
 
-void setNonBlocking(int fd, bool nonBlocking) {
-  int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags < 0) sysError("fcntl(F_GETFL) failed");
-  flags = nonBlocking ? (flags | O_NONBLOCK) : (flags & ~O_NONBLOCK);
-  if (::fcntl(fd, F_SETFL, flags) < 0) sysError("fcntl(F_SETFL) failed");
-}
-
 void sendAll(int fd, const std::vector<uint8_t>& data) {
   size_t off = 0;
   while (off < data.size()) {
@@ -93,6 +85,9 @@ void sendAll(int fd, const std::vector<uint8_t>& data) {
     ssize_t n = ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) {
+        throw WireError("timed out writing to peer");
+      }
       sysError("send failed");
     }
     off += static_cast<size_t>(n);
@@ -119,6 +114,9 @@ bool FrameChannel::recv(Frame* out) {
     ssize_t n = ::read(fd_.get(), chunk, sizeof(chunk));
     if (n < 0) {
       if (errno == EINTR) continue;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) {
+        throw WireError("timed out waiting for a frame");
+      }
       sysError("read failed");
     }
     if (n == 0) return false;  // EOF; a buffered torn frame never happened

@@ -3,10 +3,10 @@
 
 // Thin POSIX socket layer under the frame codec: RAII descriptors, Unix-
 // domain listen/connect (the daemon/agent rendezvous), socketpair links for
-// agents run on a thread (tests), and a blocking FrameChannel that pairs a
-// descriptor with an incremental FrameDecoder. The daemon's pipelined drain
-// path polls a raw descriptor itself (see fleet::AgentLink); this header is
-// the blocking side.
+// agents run on a thread (tests), and FrameChannel, a blocking descriptor
+// paired with an incremental FrameDecoder. Both ends of a daemon/agent link
+// read and write only through a FrameChannel (see fleet/agent.h); a
+// descriptor's receive/send timeouts bound its waits.
 
 #include <string>
 #include <utility>
@@ -61,9 +61,8 @@ Fd acceptOne(const Fd& listener);
 Fd connectUnix(const std::string& path, int retries = 50,
                int retryDelayMs = 100);
 
-void setNonBlocking(int fd, bool nonBlocking);
-
-/// Writes all of `data` (blocking); throws WireError on a dead peer.
+/// Writes all of `data` (blocking); throws WireError on a dead peer or when
+/// the descriptor's send timeout expires.
 void sendAll(int fd, const std::vector<uint8_t>& data);
 
 /// Blocking framed endpoint: one descriptor + one incremental decoder.
@@ -76,7 +75,8 @@ class FrameChannel {
   /// Blocks for the next frame. Returns false on EOF — including an EOF
   /// with a torn frame still buffered, which the receiver treats like the
   /// WAL's torn tail (the frame never happened; the connection is simply
-  /// gone). Throws WireError on a structurally bad stream.
+  /// gone). Throws WireError on a structurally bad stream, a failed read,
+  /// or when the descriptor's receive timeout expires.
   bool recv(Frame* out);
 
   int fd() const { return fd_.get(); }

@@ -135,7 +135,6 @@ class Reader {
   uint32_t u32();
   uint64_t u64();
   std::string str();
-  bool atEnd() const { return pos_ == buf_.size(); }
   /// Trailing bytes after the last expected field are a protocol error —
   /// a decoder that silently ignores them would mask framing bugs.
   void expectEnd() const;

@@ -2,12 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <random>
 #include <stdexcept>
@@ -739,6 +743,157 @@ TEST(BulkApply, CommitsOneRecordPerChunk) {
     }
   }
   EXPECT_EQ(next, stream.size());
+}
+
+// applyBatch and applyBulk share one device step. Fed the same updates one
+// call at a time through a sustained outage, the two controllers forward
+// and queue exactly the same updates: a degraded stream forwards whatever
+// stays semantics-preserving for the pinned program and touches no queued
+// target, like a batch, instead of queueing everything.
+TEST(BulkApply, DegradedStreamForwardsLikeABatch) {
+  p4::CheckedProgram checked = load("middleblock");
+  auto script = net::fuzzUpdateSequence(checked, 80, /*seed=*/7);
+  FaultPlan plan = FaultPlan::parse("outage=4+1000000");
+  SimulatedDevice batchDevice(plan);
+  SimulatedDevice bulkDevice(plan);
+  ControllerOptions opts;
+  opts.tryRecoverEvery = 0;
+  FaultTolerantController batch(checked, &batchDevice, opts);
+  FaultTolerantController bulk(checked, &bulkDevice, opts);
+
+  uint64_t forwardedWhileDegraded = 0;
+  for (size_t i = 0; i < script.size(); ++i) {
+    const bool wasDegraded = batch.degraded();
+    const uint64_t visibleBefore = batch.deviceVisibleUpdates();
+    bool rejected = false;
+    try {
+      batch.applyBatch({script[i]});
+    } catch (const std::invalid_argument&) {
+      rejected = true;
+    }
+    BulkApplyResult r = bulk.applyBulk({script[i]});
+    EXPECT_EQ(r.report.rejected, rejected ? 1u : 0u) << "update " << i;
+    ASSERT_EQ(bulk.degraded(), batch.degraded()) << "update " << i;
+    ASSERT_EQ(bulk.deviceVisibleUpdates(), batch.deviceVisibleUpdates())
+        << "update " << i;
+    ASSERT_EQ(bulk.queuedUpdates(), batch.queuedUpdates()) << "update " << i;
+    if (wasDegraded) {
+      forwardedWhileDegraded += batch.deviceVisibleUpdates() - visibleBefore;
+    }
+  }
+  // The script reaches both degraded branches: forward and queue.
+  EXPECT_TRUE(batch.degraded());
+  EXPECT_GT(forwardedWhileDegraded, 0u);
+  EXPECT_GT(batch.queuedUpdates(), 0u);
+  EXPECT_EQ(bulk.stateDigest(), batch.stateDigest());
+}
+
+using Feed = std::function<void(FaultTolerantController&,
+                                const std::vector<runtime::Update>&)>;
+
+/// Death-test child: a controller commits 10 ACL entries one by one, then
+/// `feed` sends 140 more in transactions of 32 under a file-size limit that
+/// lets the journal take the first two and 16 bytes of the third. The third
+/// commit fails; the state left in memory must be the state recovery
+/// rebuilds from the journal, the committed count that of the first two,
+/// and the device must have taken every committed update. Exits 0 when all
+/// three hold (and the failure surfaced as an exception).
+[[noreturn]] void failThirdCommit(const std::string& root, const Feed& feed) {
+  p4::CheckedProgram checked = load("middleblock");
+  auto stream = net::middleblockAclEntries(150);
+  std::vector<runtime::Update> warmup(stream.begin(), stream.begin() + 10);
+  std::vector<runtime::Update> rest(stream.begin() + 10, stream.end());
+  std::vector<runtime::Update> fitting(rest.begin(), rest.begin() + 64);
+  ControllerOptions opts;
+  opts.checkpointEvery = 0;
+
+  // The journal's size once the first two transactions landed, taken from
+  // an identical controller without a limit: the records are byte-equal.
+  opts.stateDir = root + "/unlimited";
+  fs::create_directories(opts.stateDir);
+  uintmax_t fitBytes = 0;
+  uint64_t fitCommitted = 0;
+  {
+    SimulatedDevice device{FaultPlan{}};
+    FaultTolerantController ref(checked, &device, opts);
+    for (const auto& u : warmup) ref.apply(u);
+    feed(ref, fitting);
+    fitBytes = fs::file_size(opts.stateDir + "/journal.jsonl");
+    fitCommitted = ref.committedUpdates();
+  }
+
+  opts.stateDir = root + "/limited";
+  fs::create_directories(opts.stateDir);
+  std::string digest;
+  uint64_t committed = 0;
+  uint64_t visible = 0;
+  bool threw = false;
+  {
+    SimulatedDevice device{FaultPlan{}};
+    FaultTolerantController ctrl(checked, &device, opts);
+    for (const auto& u : warmup) ctrl.apply(u);
+    std::signal(SIGXFSZ, SIG_IGN);
+    rlimit unlimited{};
+    ::getrlimit(RLIMIT_FSIZE, &unlimited);
+    rlimit limited = unlimited;
+    limited.rlim_cur = fitBytes + 16;
+    ::setrlimit(RLIMIT_FSIZE, &limited);
+    try {
+      feed(ctrl, rest);
+    } catch (const std::runtime_error& e) {
+      threw = std::string(e.what()).find("journal") != std::string::npos;
+      std::fprintf(stderr, "feed threw: %s\n", e.what());
+    }
+    ::setrlimit(RLIMIT_FSIZE, &unlimited);
+    digest = ctrl.stateDigest();
+    committed = ctrl.committedUpdates();
+    visible = ctrl.deviceVisibleUpdates();
+  }
+  std::string recoveredDigest =
+      FaultTolerantController(checked, nullptr, opts).stateDigest();
+  std::fprintf(stderr,
+               "committed %llu (want %llu), device-visible %llu, digest %s "
+               "(recovered %s)\n",
+               static_cast<unsigned long long>(committed),
+               static_cast<unsigned long long>(fitCommitted),
+               static_cast<unsigned long long>(visible), digest.c_str(),
+               recoveredDigest.c_str());
+  // exit() skips the caller's StateDir destructor.
+  fs::remove_all(root);
+  std::exit(threw && committed == fitCommitted && visible == committed &&
+                    digest == recoveredDigest
+                ? 0
+                : 1);
+}
+
+// A bulk chunk whose commit record fails to land is rolled back like a
+// batch, and the chunks before it stay committed and reach the device.
+TEST(BulkApplyDeathTest, FailedChunkCommitRollsBackTheChunk) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  StateDir dir("bulk-commit-failure");
+  Feed bulk = [](FaultTolerantController& c,
+                 const std::vector<runtime::Update>& updates) {
+    flay::BulkLoadOptions bopts;
+    bopts.chunkSize = 32;
+    c.applyBulk(updates, bopts);
+  };
+  EXPECT_EXIT(failThirdCommit(dir.str(), bulk), ::testing::ExitedWithCode(0),
+              "");
+}
+
+// The same failure through applyBatch: the shared commit rolls it back.
+TEST(BulkApplyDeathTest, FailedBatchCommitRollsBackTheBatch) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  StateDir dir("batch-commit-failure");
+  Feed batches = [](FaultTolerantController& c,
+                    const std::vector<runtime::Update>& updates) {
+    for (size_t i = 0; i < updates.size(); i += 32) {
+      c.applyBatch({updates.begin() + i,
+                    updates.begin() + std::min(i + 32, updates.size())});
+    }
+  };
+  EXPECT_EXIT(failThirdCommit(dir.str(), batches),
+              ::testing::ExitedWithCode(0), "");
 }
 
 // ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@
 // hardened Update::fromString surface, the daemon/agent link (the
 // AgentLink/AgentEndpoint pair `flayc daemon` and `flayc agent` run, here
 // with the agent on a thread) converging and recovering to the in-process
-// controller's digest, and the fleet's deterministic re-admission backoff.
+// controller's digest, and failing cleanly when the agent goes away.
 
 #include "wire/wire.h"
 
@@ -13,7 +13,6 @@
 
 #include <unistd.h>
 
-#include <atomic>
 #include <cstring>
 #include <filesystem>
 #include <memory>
@@ -26,7 +25,6 @@
 #include "controller/controller.h"
 #include "controller/device.h"
 #include "fleet/agent.h"
-#include "fleet/fleet.h"
 #include "net/fuzzer.h"
 #include "net/workloads.h"
 #include "wire/socket.h"
@@ -538,15 +536,13 @@ TEST(WireSocket, TornFrameAtEofIsCleanClose) {
 class ThreadAgent {
  public:
   ThreadAgent(const p4::CheckedProgram& checked,
-              controller::ControllerOptions options, size_t batchSize = 32,
-              size_t windowBatches = 8)
+              controller::ControllerOptions options)
       : ctl_(checked, &device_, std::move(options)) {
     auto fds = socketPair();
     endpoint_ = std::make_unique<fleet::AgentEndpoint>(
         checked, ctl_, FrameChannel(std::move(fds.second)), "dev0");
     thread_ = std::thread([this] { served_ = endpoint_->serve(); });
-    link_ = std::make_unique<fleet::AgentLink>(std::move(fds.first), "dev0",
-                                               batchSize, windowBatches);
+    link_ = std::make_unique<fleet::AgentLink>(std::move(fds.first), "dev0");
     try {
       Hello hello = link_->handshake();
       EXPECT_EQ(hello.programFingerprint, fleet::programFingerprint(checked));
@@ -564,6 +560,8 @@ class ThreadAgent {
   const controller::FaultTolerantController& controller() const {
     return ctl_;
   }
+  /// The agent's counters; read after stop().
+  const fleet::AgentStats& stats() const { return endpoint_->stats(); }
 
   /// Sends every update as batch frames and waits for the agent's acks.
   fleet::AgentLink::FlushDelta send(
@@ -603,22 +601,64 @@ std::string referenceDigest(const p4::CheckedProgram& checked,
   return ctl.stateDigest();
 }
 
-TEST(WireFleet, SmallBatchWindowStillConverges) {
-  // Degenerate pipelining (1-update batches, window of 1) must change
-  // nothing but the frame count.
+// Stop-and-wait: 70 updates leave as three batch frames (32, 32, 6), each
+// acknowledged in order before the next is sent, and the agent lands on the
+// in-process controller's digest.
+TEST(WireFleet, StopAndWaitSendsOneBatchPerAck) {
   p4::CheckedProgram checked = load("middleblock");
-  auto script = net::fuzzUpdateSequence(checked, 16, /*seed=*/9);
+  auto script = net::fuzzUpdateSequence(checked, 70, /*seed=*/9);
 
-  ThreadAgent agent(checked, {}, /*batchSize=*/1, /*windowBatches=*/1);
+  ThreadAgent agent(checked, {});
   fleet::AgentLink::FlushDelta delta = agent.send(script);
-  EXPECT_EQ(delta.batches, script.size());
+  EXPECT_EQ(delta.batches, 3u);
   EXPECT_GT(delta.applied, 0u);
   EXPECT_EQ(delta.applied + delta.rejected, script.size());
+  EXPECT_EQ(delta.committed, delta.applied);
   DigestReply reply = agent.link().digest();
   EXPECT_EQ(reply.committed, delta.applied);
   EXPECT_EQ(reply.digest, referenceDigest(checked, script));
   agent.link().bye();
   EXPECT_TRUE(agent.stop());
+  EXPECT_EQ(agent.stats().batches, 3u);
+}
+
+// An agent that closes its end mid-stream (here after acknowledging the
+// first batch, while the daemon waits for the second batch's ack) fails the
+// flush with WireError, and the link stays dead.
+TEST(WireFleet, AgentClosedMidStreamKillsTheLink) {
+  p4::CheckedProgram checked = load("middleblock");
+  auto script = net::fuzzUpdateSequence(checked, 70, /*seed=*/9);
+  auto fds = socketPair();
+  std::thread agent([fd = std::move(fds.second)]() mutable {
+    FrameChannel ch(std::move(fd));
+    ch.send(FrameType::kHello, encode(Hello{"dev0", "fp", 0}));
+    Frame f;
+    if (!ch.recv(&f) || f.type != FrameType::kHelloAck) return;
+    if (!ch.recv(&f) || f.type != FrameType::kBatch) return;
+    Batch batch = decodeBatch(f.payload);
+    Ack ack;
+    ack.upToSeq = batch.firstSeq + batch.updates.size() - 1;
+    ack.applied = batch.updates.size();
+    ch.send(FrameType::kAck, encode(ack));
+    ch.recv(&f);  // the second batch, never acknowledged
+  });
+
+  fleet::AgentLink link(std::move(fds.first), "dev0");
+  EXPECT_EQ(link.handshake().deviceName, "dev0");
+  link.accept();
+  for (const auto& u : script) link.enqueue(u.toString());
+  std::string error;
+  try {
+    link.flush();
+  } catch (const WireError& e) {
+    error = e.what();
+  }
+  agent.join();
+  EXPECT_NE(error.find("agent closed the connection"), std::string::npos)
+      << error;
+  EXPECT_FALSE(link.alive());
+  EXPECT_THROW(link.flush(), WireError);
+  EXPECT_THROW(link.digest(), WireError);
 }
 
 // Kill-mid-stream recovery, reusing the journal machinery: an agent over a
@@ -653,55 +693,6 @@ TEST(WireFleet, KillAndRestartRecoversToReferenceDigest) {
             referenceDigest(checked, script));
   restarted.link().bye();
   EXPECT_TRUE(restarted.stop());
-}
-
-// ---------------------------------------------------------------------------
-// Deterministic recovery backoff
-// ---------------------------------------------------------------------------
-
-// With an injected clock and a fixed seed, the re-admission schedule is a
-// pure function of the options: two fleets walk identical
-// nextRecoverAtMicros sequences, and no wall-clock sneaks in.
-TEST(WireFleet, BackoffScheduleIsDeterministicUnderInjectedClock) {
-  p4::CheckedProgram checked = load("middleblock");
-  auto script = net::fuzzUpdateSequence(checked, 8, /*seed=*/4);
-
-  auto schedule = [&] {
-    auto now = std::make_shared<std::atomic<uint64_t>>(1000);
-    fleet::FleetOptions opts;
-    opts.devices = 2;
-    opts.faultPlan = controller::FaultPlan::parse("outage=1+1000000");
-    opts.controller.seed = 21;
-    opts.recovery.backoffBaseMicros = 500;
-    opts.recovery.backoffMaxMicros = 8000;
-    opts.recovery.clock = [now] { return now->load(); };
-    fleet::FleetController fc(checked, opts);
-    for (const auto& u : script) fc.broadcast(u);
-    fc.drain();
-    EXPECT_GE(fc.degradedDevices(), 1u);
-
-    std::vector<uint64_t> next;
-    for (int round = 0; round < 6; ++round) {
-      fc.tryRecoverAll();
-      for (size_t i = 0; i < fc.deviceCount(); ++i) {
-        next.push_back(fc.status(i).nextRecoverAtMicros);
-      }
-      now->fetch_add(250);  // advance less than the base: some polls are
-                            // "not due", which must also be deterministic
-    }
-    return next;
-  };
-
-  std::vector<uint64_t> a = schedule();
-  std::vector<uint64_t> b = schedule();
-  EXPECT_EQ(a, b);
-  // The schedule derives from the injected clock's epoch, not wall time.
-  for (uint64_t t : a) {
-    if (t != 0) {
-      EXPECT_GE(t, 1000u);
-      EXPECT_LT(t, 1000u + 10 * 8000u);
-    }
-  }
 }
 
 }  // namespace

@@ -5,13 +5,14 @@
 #
 # `flayc daemon --spawn` forks one `flayc agent` process per device and
 # streams the fuzzed update script to each over the versioned wire protocol
-# (pipelined batches, cumulative acks). `flayc fleet` drives the same number
-# of devices by direct calls. For the same program, update count and seed,
-# every agent must end on the per-device state digest the in-process fleet
-# reports. Committed state does not depend on device faults, so a leg with a
-# fault plan must match as well. The daemon gives agent i the controller and
-# fault-plan seeds the fleet gives member i, so on that leg each agent's
-# install retries must also equal its in-process counterpart's.
+# (one batch frame in flight, each acknowledged before the next). `flayc
+# fleet` drives the same number of devices by direct calls. For the same
+# program, update count and seed, every agent must end on the per-device
+# state digest the in-process fleet reports. Committed state does not depend
+# on device faults, so a leg with a fault plan must match as well. The daemon
+# gives agent i the controller and fault-plan seeds the fleet gives member
+# i, so on that leg each agent's install retries must also equal its
+# in-process counterpart's.
 set -u
 
 FLAYC=$1

@@ -29,16 +29,17 @@
 //                                  broadcast a fuzzed update stream to every
 //                                  device, drain the per-device queues
 //                                  concurrently over a shared thread pool
-//                                  with one verdict cache across all
-//                                  services, and require every device to end
-//                                  in the identical state (non-zero exit on
-//                                  divergence or a failed device)
+//                                  (each device with its own service and
+//                                  check state), and require every device to
+//                                  end in the identical state (non-zero exit
+//                                  on divergence or a failed device)
 //   flayc daemon     <prog.p4l>    controller daemon: listen on a Unix-domain
 //                                  socket (--listen), accept one agent per
 //                                  device (optionally fork/exec them with
 //                                  --spawn), shard by program fingerprint,
-//                                  stream a fuzzed update script as pipelined
-//                                  batch frames, and require identical agent
+//                                  stream a fuzzed update script as batch
+//                                  frames, one acknowledged before the next
+//                                  is sent, and require identical agent
 //                                  state digests (non-zero exit on
 //                                  divergence or a dead link)
 //   flayc agent      <prog.p4l>    device agent: connect to a daemon
