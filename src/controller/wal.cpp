@@ -1,7 +1,9 @@
 #include "controller/wal.h"
 
+#include <fcntl.h>
 #include <unistd.h>
 
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -121,43 +123,53 @@ std::vector<JournalRecord> readJournal(const std::string& path,
 Journal::~Journal() { close(); }
 
 void Journal::open() {
-  if (file_ != nullptr) return;
+  if (fd_ >= 0) return;
   uint64_t intactBytes = 0;
   std::vector<JournalRecord> records = readJournal(path_, &intactBytes);
   if (!records.empty()) seq_ = records.back().seq;
-  file_ = std::fopen(path_.c_str(), "ab");
-  if (file_ == nullptr) {
+  fd_ = ::open(path_.c_str(), O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC, 0644);
+  if (fd_ < 0) {
     throw std::runtime_error("cannot open journal '" + path_ + "'");
   }
   // Cut off a torn tail: the next record would otherwise complete its line
   // as garbage, and the next recovery would refuse the journal.
-  if (::ftruncate(fileno(file_), static_cast<off_t>(intactBytes)) != 0) {
+  if (::ftruncate(fd_, static_cast<off_t>(intactBytes)) != 0) {
     throw std::runtime_error("cannot truncate journal '" + path_ + "'");
   }
+  end_ = intactBytes;
 }
 
 void Journal::close() {
-  if (file_ == nullptr) return;
-  std::fclose(file_);
-  file_ = nullptr;
+  if (fd_ < 0) return;
+  ::close(fd_);
+  fd_ = -1;
 }
 
 uint64_t Journal::append(const std::string& body) {
-  if (file_ == nullptr) {
+  if (fd_ < 0) {
     throw std::runtime_error("journal '" + path_ + "' is not open");
   }
-  uint64_t seq = ++seq_;
+  if (failed_) {
+    throw std::runtime_error("journal '" + path_ +
+                             "' failed: recover the controller from disk");
+  }
+  uint64_t seq = seq_ + 1;
   std::string line = "{\"seq\":" + std::to_string(seq) + "," + body + "}\n";
-  if (std::fwrite(line.data(), 1, line.size(), file_) != line.size()) {
-    throw std::runtime_error("journal write failed: " + path_);
+  // A record is only "journaled" once it survives SIGKILL of this process
+  // (the write reaches the kernel) and power loss (fsync).
+  ssize_t written = ::write(fd_, line.data(), line.size());
+  bool whole = written == static_cast<ssize_t>(line.size());
+  if (whole && ::fsync(fd_) == 0) {
+    seq_ = seq;
+    end_ += line.size();
+    obs::Registry::global().counter("controller.journal_records").add(1);
+    return seq;
   }
-  // Flush to the OS and to the disk: a record is only "journaled" once it
-  // survives SIGKILL of this process (fflush) and power loss (fsync).
-  if (std::fflush(file_) != 0 || ::fsync(fileno(file_)) != 0) {
-    throw std::runtime_error("journal flush failed: " + path_);
-  }
-  obs::Registry::global().counter("controller.journal_records").add(1);
-  return seq;
+  // The descriptor appends, so the next record lands where this one began.
+  failed_ = ::ftruncate(fd_, static_cast<off_t>(end_)) != 0 || whole;
+  throw std::runtime_error(
+      std::string(whole ? "journal fsync failed: " : "journal write failed: ") +
+      path_);
 }
 
 void Journal::appendBegin(size_t /*n*/) { staged_.clear(); }

@@ -2,7 +2,6 @@
 #define FLAY_CONTROLLER_WAL_H
 
 #include <cstdint>
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -23,10 +22,14 @@ struct JournalRecord {
 
 /// Append-only write-ahead journal, one record per committed transaction.
 /// appendBegin/appendUpdate stage a transaction in memory; appendCommit
-/// writes it as one line, flushed and fsync'd before it returns. The
+/// writes it as one line with one write(2), fsync'd before it returns. The
 /// controller commits after the in-memory apply and before any device
 /// action, so a transaction is acknowledged, and reaches the device, only
 /// once its commit line is durable; a rolled-back batch writes nothing.
+/// A record that fails to land is cut off again and throws, so the file
+/// keeps exactly the committed records. If the cut fails, or fsync failed
+/// (the kernel may have dropped the dirty pages), the journal is failed:
+/// every later append throws until the controller is recovered from disk.
 class Journal {
  public:
   explicit Journal(std::string path) : path_(std::move(path)) {}
@@ -61,8 +64,11 @@ class Journal {
   uint64_t append(const std::string& body);
 
   std::string path_;
-  std::FILE* file_ = nullptr;
+  int fd_ = -1;
   uint64_t seq_ = 0;
+  /// File length: the end of the last intact record.
+  uint64_t end_ = 0;
+  bool failed_ = false;
   /// The open transaction's updates, rendered as comma-separated JSON
   /// strings.
   std::string staged_;

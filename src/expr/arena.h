@@ -1,6 +1,7 @@
 #ifndef FLAY_EXPR_ARENA_H
 #define FLAY_EXPR_ARENA_H
 
+#include <compare>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -15,7 +16,7 @@ namespace flay::expr {
 struct ExprRef {
   uint32_t id = 0;
   bool valid() const { return id != 0; }
-  bool operator==(const ExprRef&) const = default;
+  auto operator<=>(const ExprRef&) const = default;
 };
 
 struct ExprRefHash {

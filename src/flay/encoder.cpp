@@ -36,11 +36,11 @@ TableShape tableShape(const runtime::TableState& table,
 }
 
 ExprRef ControlPlaneEncoder::entryCondition(
-    const TableInfo& info, const runtime::TableEntry& entry) const {
+    const std::vector<ExprRef>& keys, const runtime::TableEntry& entry) const {
   ExprRef cond = arena_.boolConst(true);
   for (size_t i = 0; i < entry.matches.size(); ++i) {
     const runtime::FieldMatch& m = entry.matches[i];
-    ExprRef key = info.keyExprs[i];
+    ExprRef key = keys[i];
     ExprRef fieldCond;
     if (m.isWildcard()) {
       fieldCond = arena_.boolConst(true);
@@ -57,7 +57,8 @@ ExprRef ControlPlaneEncoder::entryCondition(
 
 std::vector<Binding> ControlPlaneEncoder::encodeTable(
     const TableInfo& info, const runtime::TableState& table,
-    const runtime::DeviceConfig& config, bool* overapproximated) const {
+    const runtime::DeviceConfig& config, bool* overapproximated,
+    expr::Substitution* assignment) const {
   std::vector<Binding> bindings;
   if (overapproximated != nullptr) *overapproximated = false;
 
@@ -134,11 +135,19 @@ std::vector<Binding> ControlPlaneEncoder::encodeTable(
   // reuse this one.
   const auto& normalized = table.normalizedEntries();
 
+  // Resolve the keys only on the precise path: the empty and over-threshold
+  // encodings above never read them, and a chained key resolves to the
+  // upstream's whole chain.
+  std::vector<ExprRef> keys = info.keyExprs;
+  if (assignment != nullptr) {
+    for (ExprRef& k : keys) k = assignment->apply(k);
+  }
+
   // Precise encoding: per-entry conditions in precedence order.
   std::vector<ExprRef> conds;
   conds.reserve(normalized.size());
   for (const runtime::TableEntry* e : normalized) {
-    conds.push_back(entryCondition(info, *e));
+    conds.push_back(entryCondition(keys, *e));
   }
 
   ExprRef hit = arena_.boolConst(false);

@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "expr/substitute.h"
 #include "flay/symbolic_executor.h"
 #include "runtime/device_config.h"
 
@@ -61,11 +62,14 @@ class ControlPlaneEncoder {
       : arena_(arena), analysis_(analysis), options_(options) {}
 
   /// Encodes one table's current state. Sets *overapproximated when the
-  /// normalized entry count exceeded the threshold.
-  std::vector<Binding> encodeTable(const TableInfo& info,
-                                   const runtime::TableState& table,
-                                   const runtime::DeviceConfig& config,
-                                   bool* overapproximated = nullptr) const;
+  /// normalized entry count exceeded the threshold. The precise encoding
+  /// matches on the keys with `assignment` applied, so a chained table (keys
+  /// on metadata an upstream table's action writes) comes back resolved
+  /// against the upstream bindings.
+  std::vector<Binding> encodeTable(
+      const TableInfo& info, const runtime::TableState& table,
+      const runtime::DeviceConfig& config, bool* overapproximated = nullptr,
+      expr::Substitution* assignment = nullptr) const;
 
   /// Encodes one value set; produces a binding per use site.
   std::vector<Binding> encodeValueSet(
@@ -73,7 +77,7 @@ class ControlPlaneEncoder {
       const runtime::ValueSetState& valueSet) const;
 
  private:
-  expr::ExprRef entryCondition(const TableInfo& info,
+  expr::ExprRef entryCondition(const std::vector<expr::ExprRef>& keys,
                                const runtime::TableEntry& entry) const;
 
   expr::ExprArena& arena_;

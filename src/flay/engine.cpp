@@ -72,52 +72,35 @@ FlayService::FlayService(const p4::CheckedProgram& checked, FlayOptions options)
 }
 
 void FlayService::buildObjectDependencies() {
-  // A table whose key expressions mention another object's placeholders
-  // must be re-encoded whenever that object changes (chained tables: a key
-  // on a metadata field written by an upstream table's action). Same for
-  // value-set uses whose select expression depends on tables.
+  // A table must be re-encoded whenever an object it reads changes: another
+  // object whose placeholders its key expressions mention (chained tables:
+  // a key on a metadata field written by an upstream table's action), and
+  // the action profile backing it. Value sets read nothing: the parser runs
+  // path by path, so a select sees only what its own path extracted or set,
+  // never a placeholder.
   //
   // Value sets come first in the re-encoding order: they live in the
   // parser, so a table's key expression can embed a value-set use symbol
   // but never the reverse. Encoding a table before the value set it
-  // mentions is rebound bakes the stale (or, on a full rebind from empty
-  // bindings, unresolved) symbol into the stored table binding — the one
-  // substitution pass per annotation never revisits it.
+  // mentions is rebound would match its keys under the stale value.
   for (const auto& use : analysis_.valueSetUses) {
-    if (std::find(objectOrder_.begin(), objectOrder_.end(), use.qualified) ==
-        objectOrder_.end()) {
-      objectOrder_.push_back(use.qualified);
-    }
+    objectOrderIndex_.emplace(use.qualified, objectOrderIndex_.size());
   }
   for (const auto& info : analysis_.tables) {
-    objectOrder_.push_back(info.qualified);
+    objectOrderIndex_.emplace(info.qualified, objectOrderIndex_.size());
     std::set<std::string> owners;
-    for (expr::ExprRef k : info.keyExprs) {
+    for (ExprRef k : info.keyExprs) {
       for (uint32_t s : expr::collectSymbols(
                *arena_, k, expr::SymbolClass::kControlPlane)) {
         auto it = analysis_.symbolOwner.find(s);
         if (it != analysis_.symbolOwner.end()) owners.insert(it->second);
       }
     }
-    for (const auto& o : owners) {
-      if (o != info.qualified) objectDependents_[o].insert(info.qualified);
+    if (!info.decl->actionProfile.empty()) {
+      owners.insert(info.control->name + "." + info.decl->actionProfile);
     }
-  }
-  for (const auto& use : analysis_.valueSetUses) {
-    if (std::find(objectOrder_.begin(), objectOrder_.end(), use.qualified) ==
-        objectOrder_.end()) {
-      objectOrder_.push_back(use.qualified);
-    }
-    for (uint32_t s : expr::collectSymbols(
-             *arena_, use.selectExpr, expr::SymbolClass::kControlPlane)) {
-      auto it = analysis_.symbolOwner.find(s);
-      if (it != analysis_.symbolOwner.end() && it->second != use.qualified) {
-        objectDependents_[it->second].insert(use.qualified);
-      }
-    }
-  }
-  for (size_t i = 0; i < objectOrder_.size(); ++i) {
-    objectOrderIndex_.emplace(objectOrder_[i], i);
+    owners.erase(info.qualified);
+    for (const auto& o : owners) objectDependents_[o].insert(info.qualified);
   }
 }
 
@@ -154,78 +137,49 @@ std::vector<std::string> FlayService::dependencyClosure(
     closure.insert(c.begin(), c.end());
   }
   // Emit in program order so upstream bindings are resolved before any
-  // downstream encoding reads them; objects outside the known order (e.g.
-  // action profiles) go last, in name order.
+  // downstream encoding reads them; objects outside the known order (action
+  // profiles, which encode nothing themselves) go last, in name order.
+  auto rank = [this](const std::string& o) {
+    auto it = objectOrderIndex_.find(o);
+    return it == objectOrderIndex_.end() ? objectOrderIndex_.size()
+                                         : it->second;
+  };
   std::vector<std::string> ordered(closure.begin(), closure.end());
   std::stable_sort(ordered.begin(), ordered.end(),
-                   [this](const std::string& a, const std::string& b) {
-                     auto ia = objectOrderIndex_.find(a);
-                     auto ib = objectOrderIndex_.find(b);
-                     size_t ka = ia == objectOrderIndex_.end()
-                                     ? objectOrder_.size()
-                                     : ia->second;
-                     size_t kb = ib == objectOrderIndex_.end()
-                                     ? objectOrder_.size()
-                                     : ib->second;
-                     if (ka != kb) return ka < kb;
-                     return a < b;
+                   [&rank](const std::string& a, const std::string& b) {
+                     return rank(a) < rank(b);
                    });
   return ordered;
 }
 
 void FlayService::rebindObject(const std::string& object,
+                               expr::Substitution& assignment,
                                bool* overapproximated) {
+  // The assignment already holds the upstream objects' new values, so a
+  // chained table's encoding comes back resolved.
   std::vector<Binding> bindings;
   if (config_->hasTable(object)) {
     bindings = encoder_->encodeTable(analysis_.table(object),
                                      config_->table(object), *config_,
-                                     overapproximated);
+                                     overapproximated, &assignment);
   } else if (config_->hasValueSet(object)) {
     bindings = encoder_->encodeValueSet(object, config_->valueSet(object));
-  } else if (config_->hasActionProfile(object)) {
-    // Profile changes feed back through every table that uses the profile.
-    for (const auto& info : analysis_.tables) {
-      if (info.decl->actionProfile.empty()) continue;
-      if (info.control->name + "." + info.decl->actionProfile != object) {
-        continue;
-      }
-      bool tableOver = false;
-      auto tableBindings = encoder_->encodeTable(
-          info, config_->table(info.qualified), *config_, &tableOver);
-      if (overapproximated != nullptr) *overapproximated |= tableOver;
-      bindings.insert(bindings.end(), tableBindings.begin(),
-                      tableBindings.end());
-    }
-  }
-  // Resolve nested placeholders: a table's match condition is built over
-  // its key expressions, which may mention upstream objects' placeholders
-  // (chained tables). Substituting the current assignment here keeps every
-  // stored binding value fully resolved, so one substitution pass per
-  // annotation suffices later.
-  expr::Substitution resolve(*arena_);
-  bool needResolve = false;
-  for (const auto& b : bindings) {
-    if (!b.value.valid()) continue;
-    for (uint32_t s : expr::collectSymbols(*arena_, b.value,
-                                           expr::SymbolClass::kControlPlane)) {
-      auto it = bindings_.find(s);
-      if (it == bindings_.end()) continue;
-      const expr::Symbol& sym = arena_->symbolInfo(s);
-      expr::ExprRef var = sym.width == 0
-                              ? arena_->boolVar(sym.name, sym.cls)
-                              : arena_->var(sym.name, sym.width, sym.cls);
-      resolve.bind(var, it->second);
-      needResolve = true;
-    }
   }
   for (const auto& b : bindings) {
-    uint32_t symbolId = arena_->node(b.symbol).a;
     if (b.value.valid()) {
-      bindings_[symbolId] = needResolve ? resolve.apply(b.value) : b.value;
+      bindings_[b.symbol] = b.value;
+      assignment.bind(b.symbol, b.value);
     } else {
-      bindings_.erase(symbolId);  // over-approximation: leave free
+      bindings_.erase(b.symbol);  // over-approximation: leave free
+      assignment.bind(b.symbol, b.symbol);
     }
   }
+}
+
+expr::Substitution FlayService::currentAssignment() const {
+  expr::Substitution subst(*arena_);
+  for (const auto& [symbol, value] : bindings_) subst.bind(symbol, value);
+  return subst;
 }
 
 std::string FlayService::pointDigest(expr::ExprRef specialized) const {
@@ -271,17 +225,21 @@ UpdateVerdict FlayService::analyzeObjects(const std::set<std::string>& objects) 
       static_cast<uint32_t>(arena_->numNodes()));
 
   // Re-encode the updated objects plus every object whose encoding depends
-  // on them, upstream first.
+  // on them, upstream first. One substitution serves the whole round: it
+  // starts as the current assignment, takes each re-encoded object's new
+  // values (so the tables downstream match under them), and then
+  // specializes the affected points.
   std::vector<std::string> closure;
   {
     obs::ScopedTimer t(eobs.closureUs, "flay.closure");
     closure = dependencyClosure(objects);
   }
+  expr::Substitution assignment = currentAssignment();
   uint64_t encodeUs = 0;
   for (const auto& object : closure) {
     auto encodeStart = std::chrono::steady_clock::now();
     bool over = false;
-    rebindObject(object, &over);
+    rebindObject(object, assignment, &over);
     verdict.overapproximated |= over;
     encodeUs += microsSince(encodeStart);
     // Structural change check (Fig. 3 C->D: match-kind shape, action sets).
@@ -299,17 +257,8 @@ UpdateVerdict FlayService::analyzeObjects(const std::set<std::string>& objects) 
   }
   eobs.encodeUs.record(encodeUs);
 
+  // The shared memo makes repeated subtrees across points cheap.
   auto substituteStart = std::chrono::steady_clock::now();
-  // One substitution over the full current assignment; the shared memo makes
-  // repeated subtrees across points cheap.
-  expr::Substitution subst(*arena_);
-  for (const auto& [symbolId, value] : bindings_) {
-    const expr::Symbol& s = arena_->symbolInfo(symbolId);
-    ExprRef var = s.width == 0
-                      ? arena_->boolVar(s.name, s.cls)
-                      : arena_->var(s.name, s.width, s.cls);
-    subst.bind(var, value);
-  }
 
   // Affected points: union of the taint sets of the touched objects — or,
   // with the ablation knob off, every point in the program.
@@ -331,7 +280,7 @@ UpdateVerdict FlayService::analyzeObjects(const std::set<std::string>& objects) 
   }
   for (uint32_t id : affected) {
     ProgramPoint& p = analysis_.annotations.point(id);
-    ExprRef specialized = subst.apply(p.expr);
+    ExprRef specialized = assignment.apply(p.expr);
     if (specialized == p.specialized) continue;  // O(1): hash-consed refs
     p.specialized = specialized;
     verdict.changedPoints.push_back(id);
@@ -556,7 +505,7 @@ std::string FlayService::stateDigest() const {
 }
 
 expr::ExprRef FlayService::resolveSymbol(expr::ExprRef symbolExpr) const {
-  auto it = bindings_.find(arena_->node(symbolExpr).a);
+  auto it = bindings_.find(symbolExpr);
   return it == bindings_.end() ? symbolExpr : it->second;
 }
 
@@ -566,13 +515,7 @@ void FlayService::respecializeAll() {
   for (const auto& [name, vs] : config_->valueSets()) objects.insert(name);
   // Re-specialize every point, including ones without control-plane taint.
   analyzeObjects(objects);
-  expr::Substitution subst(*arena_);
-  for (const auto& [symbolId, value] : bindings_) {
-    const expr::Symbol& s = arena_->symbolInfo(symbolId);
-    ExprRef var = s.width == 0 ? arena_->boolVar(s.name, s.cls)
-                               : arena_->var(s.name, s.width, s.cls);
-    subst.bind(var, value);
-  }
+  expr::Substitution subst = currentAssignment();
   for (auto& p : analysis_.annotations.points()) {
     p.specialized = subst.apply(p.expr);
   }

@@ -118,7 +118,7 @@ class UpdateAnalysis {
 /// of the fault-tolerant controller.
 struct ServiceSnapshot {
   runtime::DeviceConfig config;
-  std::map<uint32_t, expr::ExprRef> bindings;
+  std::map<expr::ExprRef, expr::ExprRef> bindings;
   std::vector<std::string> pointDigests;
   std::map<std::string, std::string> tableDigests;
   /// analysis_.annotations.point(id).specialized, indexed by point id.
@@ -233,12 +233,19 @@ class FlayService {
   void notifyAnalyses(const UpdateVerdict& verdict) {
     for (const auto& a : analyses_) a->onUpdateAnalyzed(verdict);
   }
-  void rebindObject(const std::string& object, bool* overapproximated);
+  /// Re-encodes one object under the round's `assignment` and binds its new
+  /// values into both the assignment and bindings_.
+  void rebindObject(const std::string& object, expr::Substitution& assignment,
+                    bool* overapproximated);
+  /// bindings_ as a substitution; its keys are the placeholders' ExprRefs,
+  /// so building it interns nothing.
+  expr::Substitution currentAssignment() const;
   /// Expands a set of updated objects with every object whose encoding
-  /// depends on them (tables keying on fields other tables write), in
-  /// program order so upstream bindings resolve first. Per-object closures
-  /// are memoized — the dependency graph is built once and never mutated —
-  /// so a batch pays a set union, not a graph re-walk.
+  /// depends on them (tables keying on fields other tables write or backed
+  /// by an action profile), in program order so upstream bindings resolve
+  /// first. Per-object closures are memoized — the dependency graph is built
+  /// once and never mutated — so a batch pays a set union, not a graph
+  /// re-walk.
   std::vector<std::string> dependencyClosure(
       const std::set<std::string>& objects);
   /// Memoized transitive dependents of one object (including itself).
@@ -257,15 +264,15 @@ class FlayService {
   std::unique_ptr<runtime::DeviceConfig> config_;
   std::unique_ptr<ControlPlaneEncoder> encoder_;
   std::unique_ptr<CheckEngine> checkEngine_;
-  /// Current control-plane assignment: symbol id -> value (absent = free).
-  /// Values are fully resolved: they contain no placeholders that have
-  /// bindings themselves.
-  std::map<uint32_t, expr::ExprRef> bindings_;
-  /// object -> objects whose encoding mentions its placeholders.
+  /// Current control-plane assignment: placeholder -> value (absent =
+  /// free). Values are fully resolved: they contain no placeholders that
+  /// have bindings themselves.
+  std::map<expr::ExprRef, expr::ExprRef> bindings_;
+  /// object -> objects whose encoding reads it: tables whose keys mention
+  /// its placeholders, or that its action profile backs.
   std::map<std::string, std::set<std::string>> objectDependents_;
-  /// Objects (tables then value sets) in program order, for closure order.
-  std::vector<std::string> objectOrder_;
-  /// object -> position in objectOrder_ (closure ordering without scans).
+  /// object -> position in program order (value sets, then tables), for
+  /// closure order.
   std::map<std::string, size_t> objectOrderIndex_;
   /// Memoized per-object transitive closures (the graph is immutable).
   std::map<std::string, std::vector<std::string>> closureCache_;

@@ -129,9 +129,6 @@ class DeviceConfig {
   bool hasValueSet(const std::string& qualifiedName) const {
     return valueSets_.count(qualifiedName) != 0;
   }
-  bool hasActionProfile(const std::string& qualifiedName) const {
-    return profiles_.count(qualifiedName) != 0;
-  }
 
   /// Deterministic iteration (map is ordered).
   const std::map<std::string, TableState>& tables() const { return tables_; }

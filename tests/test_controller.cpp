@@ -794,10 +794,12 @@ using Feed = std::function<void(FaultTolerantController&,
 /// Death-test child: a controller commits 10 ACL entries one by one, then
 /// `feed` sends 140 more in transactions of 32 under a file-size limit that
 /// lets the journal take the first two and 16 bytes of the third. The third
-/// commit fails; the state left in memory must be the state recovery
-/// rebuilds from the journal, the committed count that of the first two,
-/// and the device must have taken every committed update. Exits 0 when all
-/// three hold (and the failure surfaced as an exception).
+/// commit fails; with the limit lifted, one more update commits. The state
+/// left in memory must be the state recovery rebuilds from the journal (so
+/// the failed record was cut off and the next one did not land on its
+/// line), the committed count that of the first two plus one, and the
+/// device must have taken every committed update. Exits 0 when all three
+/// hold (and the failure surfaced as an exception).
 [[noreturn]] void failThirdCommit(const std::string& root, const Feed& feed) {
   p4::CheckedProgram checked = load("middleblock");
   auto stream = net::middleblockAclEntries(150);
@@ -845,22 +847,28 @@ using Feed = std::function<void(FaultTolerantController&,
       std::fprintf(stderr, "feed threw: %s\n", e.what());
     }
     ::setrlimit(RLIMIT_FSIZE, &unlimited);
+    ctrl.apply(rest.back());
     digest = ctrl.stateDigest();
     committed = ctrl.committedUpdates();
     visible = ctrl.deviceVisibleUpdates();
   }
-  std::string recoveredDigest =
-      FaultTolerantController(checked, nullptr, opts).stateDigest();
+  std::string recoveredDigest;
+  try {
+    recoveredDigest =
+        FaultTolerantController(checked, nullptr, opts).stateDigest();
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "recovery threw: %s\n", e.what());
+  }
   std::fprintf(stderr,
                "committed %llu (want %llu), device-visible %llu, digest %s "
                "(recovered %s)\n",
                static_cast<unsigned long long>(committed),
-               static_cast<unsigned long long>(fitCommitted),
+               static_cast<unsigned long long>(fitCommitted + 1),
                static_cast<unsigned long long>(visible), digest.c_str(),
                recoveredDigest.c_str());
   // exit() skips the caller's StateDir destructor.
   fs::remove_all(root);
-  std::exit(threw && committed == fitCommitted && visible == committed &&
+  std::exit(threw && committed == fitCommitted + 1 && visible == committed &&
                     digest == recoveredDigest
                 ? 0
                 : 1);

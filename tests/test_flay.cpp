@@ -9,6 +9,7 @@
 #include "net/fuzzer.h"
 #include "net/headers.h"
 #include "net/workloads.h"
+#include "oracle/oracle.h"
 #include "sim/interpreter.h"
 
 namespace flay::flay {
@@ -438,12 +439,49 @@ TEST(FlayValueSets, PopulatedValueSetChangesSemantics) {
   EXPECT_EQ(result.stats.removedSelectCases, 0u);
 }
 
+// Value sets need no dependency edges: the parser runs path by path, so a
+// select reads only what its own path extracted or set. Here the parser sets
+// meta.m under `first`'s case and then selects on it with `second`; each of
+// `second`'s uses (one per path into `check`) still reads no placeholder.
+TEST(FlayValueSets, SelectsReadNoPlaceholders) {
+  auto checked = p4::loadProgramFromString(R"(
+header h_t { bit<8> a; }
+struct headers { h_t h; }
+struct metadata { bit<8> m; }
+parser P {
+  value_set<bit<8>>(4) first;
+  value_set<bit<8>>(4) second;
+  state start {
+    extract(hdr.h);
+    transition select(hdr.h.a) { first: mark; default: check; }
+  }
+  state mark { meta.m = 1; transition check; }
+  state check { transition select(meta.m) { second: accept; default: reject; } }
+}
+control C { apply { } }
+deparser D { emit(hdr.h); }
+pipeline(P, C, D);
+)");
+  FlayService service(checked);
+  ASSERT_EQ(service.analysis().valueSetUses.size(), 3u);
+  for (const ValueSetUse& use : service.analysis().valueSetUses) {
+    EXPECT_TRUE(expr::collectSymbols(service.arena(), use.selectExpr,
+                                     expr::SymbolClass::kControlPlane)
+                    .empty())
+        << use.qualified;
+  }
+  service.applyUpdate(Update::valueSetInsert("P.second", BitVec(8, 1),
+                                             BitVec::allOnes(8)));
+  service.applyUpdate(Update::valueSetInsert("P.first", BitVec(8, 5),
+                                             BitVec::allOnes(8)));
+  EXPECT_TRUE(oracle::checkIncrementalConsistency(service).consistent);
+}
+
 // ---------------------------------------------------------------------------
 // Action profiles
 // ---------------------------------------------------------------------------
 
-TEST(FlayActionProfiles, EmptyProfileMeansTableNeverHits) {
-  auto checked = p4::loadProgramFromString(R"(
+const char* kProfileProgram = R"(
 header h_t { bit<8> a; }
 struct headers { h_t h; }
 parser P { state start { extract(hdr.h); transition accept; } }
@@ -460,10 +498,71 @@ control C {
 }
 deparser D { emit(hdr.h); }
 pipeline(P, C, D);
-)");
+)";
+
+TEST(FlayActionProfiles, EmptyProfileMeansTableNeverHits) {
+  auto checked = p4::loadProgramFromString(kProfileProgram);
   FlayService service(checked);
   auto result = Specializer(service).specialize();
   EXPECT_EQ(result.stats.removedTables, 1u);
+}
+
+/// Applies each update text in turn.
+void applyAll(FlayService& service, const p4::CheckedProgram& checked,
+              const std::vector<std::string>& texts) {
+  for (const std::string& text : texts) {
+    service.applyUpdate(Update::fromString(checked, text));
+  }
+}
+
+/// Applies a profile update that flips its table between never hitting and
+/// hitting: the table's points must change, force a recompile, and equal a
+/// from-scratch respecialization afterwards.
+void expectProfileUpdateRespecializes(FlayService& service,
+                                      const p4::CheckedProgram& checked,
+                                      const std::string& text) {
+  SCOPED_TRACE(text);
+  UpdateVerdict verdict =
+      service.applyUpdate(Update::fromString(checked, text));
+  EXPECT_TRUE(verdict.expressionsChanged);
+  EXPECT_TRUE(verdict.needsRecompilation);
+  oracle::ConsistencyReport report =
+      oracle::checkIncrementalConsistency(service);
+  EXPECT_TRUE(report.consistent)
+      << report.mismatchedPoints.size()
+      << " points differ from a from-scratch respecialization";
+}
+
+// The profile is a dependency edge to the table it backs: adding its first
+// member re-encodes the table (which then hits) and respecializes its
+// points; removing the member takes both back.
+TEST(FlayActionProfiles, ProfileUpdatesRespecializeTheTable) {
+  auto checked = p4::loadProgramFromString(kProfileProgram);
+  FlayService service(checked);
+  applyAll(service, checked, {"insert C.t [0x01] -> set_a(0x07)"});
+  expectProfileUpdateRespecializes(service, checked,
+                                   "profile-add C.prof member=1 set_a(0x05)");
+  expectProfileUpdateRespecializes(service, checked,
+                                   "profile-remove C.prof member=1");
+}
+
+// The same through a chain: ecmp_select keys on the next hop ipv4_lpm
+// picks and nexthop_rewrite on the member ecmp_select picks, so a profile
+// update reaches both tables downstream of the profile.
+TEST(FlayActionProfiles, ProfileUpdatesRespecializeChainedTables) {
+  auto checked = p4::loadProgramFromFile(net::programPath("switch"));
+  FlayService service(checked);
+  applyAll(service, checked,
+           {"insert SwitchIngress.ipv4_lpm [0x0a000000/8] -> "
+            "set_nexthop(0x0001)",
+            "insert SwitchIngress.ecmp_select [0x0001] -> pick_member(0x0002)",
+            "insert SwitchIngress.nexthop_rewrite [0x0002] -> "
+            "rewrite_l2(0x020000000001, 0x020000000002, 0x003)"});
+  expectProfileUpdateRespecializes(
+      service, checked,
+      "profile-add SwitchIngress.ecmp_profile member=1 pick_member(0x0002)");
+  expectProfileUpdateRespecializes(
+      service, checked, "profile-remove SwitchIngress.ecmp_profile member=1");
 }
 
 // ---------------------------------------------------------------------------
@@ -814,6 +913,80 @@ pipeline(P, C, D);
   expr::ExprRef hit = service.specialized(second.hitPoint);
   EXPECT_FALSE(service.arena().isConst(hit))
       << "free upstream placeholders must keep the chain general";
+}
+
+// The service encodes a chained table with its keys already under the
+// round's assignment instead of substituting the assignment into the
+// finished encoding; hash-consing makes the two the same ExprRef. That
+// identity is what lets one substitution serve a whole round, so pin it on
+// the programs with chained tables after a fuzzed update sequence.
+TEST(FlayChained, EncodingUnderTheAssignmentEqualsSubstitutingIt) {
+  for (const char* name : {"switch", "scion", "dash"}) {
+    SCOPED_TRACE(name);
+    auto checked = p4::loadProgramFromFile(net::programPath(name));
+    FlayService service(checked);
+    for (const Update& u : net::fuzzUpdateSequence(checked, 300, 3)) {
+      try {
+        service.applyUpdate(u);
+      } catch (const std::invalid_argument&) {
+        // Generated against the initial config; skip, as replayers do.
+      }
+    }
+    expr::ExprArena& arena = service.arena();
+    const AnalysisResult& analysis = service.analysis();
+    const runtime::DeviceConfig& config = service.config();
+
+    // The service's current assignment: each placeholder to its binding, a
+    // free one to itself.
+    expr::Substitution assignment(arena);
+    auto bindCurrent = [&](expr::ExprRef symbol) {
+      assignment.bind(symbol, service.resolveSymbol(symbol));
+    };
+    for (const TableInfo& info : analysis.tables) {
+      bindCurrent(info.hitSymbol);
+      bindCurrent(info.actionSymbol);
+      bindCurrent(info.defaultActionSymbol);
+      for (const auto& [param, symbol] : info.paramSymbols) bindCurrent(symbol);
+      for (const auto& [param, symbol] : info.defaultParamSymbols) {
+        bindCurrent(symbol);
+      }
+    }
+    for (const ValueSetUse& use : analysis.valueSetUses) {
+      bindCurrent(use.symbol);
+    }
+
+    ControlPlaneEncoder encoder(arena, analysis);
+    size_t resolvedValues = 0;
+    auto expectSame = [&](const std::vector<Binding>& raw,
+                          const std::vector<Binding>& resolved) {
+      ASSERT_EQ(raw.size(), resolved.size());
+      for (size_t i = 0; i < raw.size(); ++i) {
+        EXPECT_EQ(resolved[i].symbol, raw[i].symbol);
+        EXPECT_EQ(resolved[i].value, assignment.apply(raw[i].value))
+            << arena.symbolInfo(arena.node(raw[i].symbol).a).name;
+        if (resolved[i].value.valid()) {
+          // And it is what the service holds for the placeholder.
+          EXPECT_EQ(resolved[i].value, service.resolveSymbol(raw[i].symbol));
+        }
+        resolvedValues += resolved[i].value != raw[i].value;
+      }
+    };
+    for (const TableInfo& info : analysis.tables) {
+      SCOPED_TRACE(info.qualified);
+      const runtime::TableState& table = config.table(info.qualified);
+      expectSame(
+          encoder.encodeTable(info, table, config),
+          encoder.encodeTable(info, table, config, nullptr, &assignment));
+    }
+    EXPECT_GT(resolvedValues, 0u) << "no encoding read an upstream binding";
+    // Value sets are encoded without the assignment: their selects read no
+    // placeholder (FlayValueSets.SelectsReadNoPlaceholders).
+    for (const auto& [qualified, valueSet] : config.valueSets()) {
+      for (const Binding& b : encoder.encodeValueSet(qualified, valueSet)) {
+        EXPECT_EQ(assignment.apply(b.value), b.value) << qualified;
+      }
+    }
+  }
 }
 
 }  // namespace chained
